@@ -22,7 +22,14 @@ import time
 from conftest import run_once, write_bench_artifact
 
 from repro.dataset.corpus import CorpusGenerator
-from repro.serve import Fault, FaultPlan, ServeConfig, build_service, faults
+from repro.serve import (
+    Fault,
+    FaultPlan,
+    ServeConfig,
+    build_service,
+    faults,
+    read_corpus,
+)
 
 MAX_OVERHEAD = 2.5
 MIN_FILES = 8
@@ -51,8 +58,8 @@ def _timed_stream(context, corpus) -> tuple[float, list]:
     for _ in range(2):
         service = build_service(context, config)
         start = time.perf_counter()
-        results = list(service.stream_dir(corpus, ordered=True,
-                                          shards=SHARDS))
+        results = list(service.stream_sources(
+            read_corpus(corpus), ordered=True, shards=SHARDS))
         elapsed = time.perf_counter() - start
         if elapsed < best_s:
             best_s, best_results = elapsed, results

@@ -20,7 +20,12 @@ from conftest import run_once, write_bench_artifact
 
 from repro.client import connect
 from repro.dataset.corpus import CorpusGenerator
-from repro.serve import ServeConfig, SuggestServer, build_service
+from repro.serve import (
+    ServeConfig,
+    SuggestServer,
+    build_service,
+    read_corpus,
+)
 
 REQUIRED_SPEEDUP = 3.0
 #: warm measurement rounds over the whole corpus
@@ -46,7 +51,7 @@ def _listen_latency(context, tmp_path) -> dict:
     for path in paths:
         service = build_service(context, serve_config)
         start = time.perf_counter()
-        cold = service.suggest_paths([path])
+        cold = service.suggest_sources(read_corpus([path]))
         cold_samples_s.append(time.perf_counter() - start)
     cold_payloads = [fs.to_payload() for fs in cold]
 
@@ -55,14 +60,14 @@ def _listen_latency(context, tmp_path) -> dict:
     with SuggestServer({"default": service}).start() as server:
         with connect(server.address) as client:
             # first pass warms the store through the daemon
-            client.suggest_paths(paths)
+            client.suggest_sources(read_corpus(paths))
             forwards_before = service.cache_stats()["forwards"]["graphs"]
 
             warm_samples_s = []
             for _ in range(ROUNDS):
                 for path in paths:
                     start = time.perf_counter()
-                    warm = client.suggest_paths([path])
+                    warm = client.suggest_sources(read_corpus([path]))
                     warm_samples_s.append(time.perf_counter() - start)
             forwards_after = service.cache_stats()["forwards"]["graphs"]
     warm_payloads = [fs.to_payload() for fs in warm]

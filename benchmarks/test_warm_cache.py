@@ -1,4 +1,4 @@
-"""Bench: cold vs warm ``suggest_dir`` through the persistent store.
+"""Bench: cold vs warm ``suggest_sources`` through the persistent store.
 
 A cold run pays the full pipeline per file — pure-python parse, graph
 build, encode, batched forwards.  A warm run over an unchanged corpus
@@ -17,7 +17,7 @@ import time
 from conftest import run_once, write_bench_artifact
 
 from repro.dataset.corpus import CorpusGenerator
-from repro.serve import ServeConfig, build_service
+from repro.serve import ServeConfig, build_service, read_corpus
 
 REQUIRED_SPEEDUP = 3.0
 MIN_FILES = 12
@@ -42,7 +42,7 @@ def _cold_vs_warm(context, tmp_path) -> dict:
     cold_service = build_service(context, serve_config,
                                  cache_dir=cache_dir)
     start = time.perf_counter()
-    cold_results = cold_service.suggest_dir(corpus)
+    cold_results = cold_service.suggest_sources(read_corpus(corpus))
     cold_s = time.perf_counter() - start
     cold_stats = cold_service.cache_stats()
 
@@ -52,7 +52,7 @@ def _cold_vs_warm(context, tmp_path) -> dict:
         warm_service = build_service(context, serve_config,
                                      cache_dir=cache_dir)
         start = time.perf_counter()
-        results = warm_service.suggest_dir(corpus)
+        results = warm_service.suggest_sources(read_corpus(corpus))
         elapsed = time.perf_counter() - start
         if elapsed < warm_s:
             warm_s, warm_results = elapsed, results
@@ -69,7 +69,7 @@ def _cold_vs_warm(context, tmp_path) -> dict:
     edited.write_text(edited.read_text() + "\n/* edited */\n")
     edit_service = build_service(context, serve_config,
                                  cache_dir=cache_dir)
-    edit_service.suggest_dir(corpus)
+    edit_service.suggest_sources(read_corpus(corpus))
     edit_stats = edit_service.cache_stats()
 
     n_loops = sum(len(fs.suggestions) for fs in cold_results)

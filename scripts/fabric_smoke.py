@@ -1,8 +1,8 @@
 """CI smoke: the distributed serving fabric, end to end on localhost.
 
-A coordinator (`repro suggest-dir --peers`) against two *empty*
-``repro serve --accept-bundles`` daemons, driving the real CLI entry
-points throughout:
+A coordinator (`repro suggest-dir --peers`, `repro rewrite-dir
+--peers`) against two *empty* ``repro serve --accept-bundles``
+daemons, driving the real CLI entry points throughout:
 
 1. **self-provisioning push** — the first fabric run pushes the
    bundle archive to both peers (content-addressed by SHA-256) and
@@ -10,7 +10,10 @@ points throughout:
 2. **push-once contract** — a second run against the now-warm fleet
    reports a ``bundle-have`` cache hit for every peer: the archive's
    bytes never transit the wire twice;
-3. **peer loss mid-run** — against a *fresh* (cold-store) pair, one
+3. **verified rewrites** — ``rewrite-dir --peers`` over the same fleet
+   produces output byte-identical to the in-process ``rewrite-dir``
+   golden run;
+4. **peer loss mid-run** — against a *fresh* (cold-store) pair, one
    peer is SIGKILLed after the first streamed record; the supervisor
    requeues its shard onto the survivor and the completed run still
    matches the golden records file-for-file (requeue, never abort).
@@ -83,28 +86,30 @@ def start_peer(work: Path, tag: str) -> subprocess.Popen:
 
 
 def run_fabric(corpus: Path, bundle: str, peers: list[str],
-               out: Path) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, "-m", "repro.cli", "suggest-dir",
+               out: Path, command: str = "suggest-dir",
+               ) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, "-m", "repro.cli", command,
            str(corpus), "--peers", ",".join(peers), "--bundle", bundle,
            "--quiet", "--out", str(out)]
     proc = subprocess.run(cmd, env=_env(), cwd=REPO_ROOT,
                           capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise AssertionError(
-            f"fabric suggest-dir exited {proc.returncode}:\n"
+            f"fabric {command} exited {proc.returncode}:\n"
             f"{proc.stderr}")
     return proc
 
 
-def run_golden(corpus: Path, bundle: str, out: Path) -> None:
+def run_golden(corpus: Path, bundle: str, out: Path,
+               command: str = "suggest-dir") -> None:
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "suggest-dir", str(corpus),
+        [sys.executable, "-m", "repro.cli", command, str(corpus),
          "--bundle", bundle, "--quiet", "--out", str(out)],
         env=_env(), cwd=REPO_ROOT, capture_output=True, text=True,
         timeout=600)
     if proc.returncode != 0:
         raise AssertionError(
-            f"golden suggest-dir exited {proc.returncode}:\n"
+            f"golden {command} exited {proc.returncode}:\n"
             f"{proc.stderr}")
 
 
@@ -138,6 +143,18 @@ def check_push_once(corpus: Path, bundle: str, peers: list[str],
         raise AssertionError("warm fabric run diverged from golden")
     print(f"push-once: {hits} bundle-have cache hits, zero bytes "
           f"re-shipped")
+
+
+def check_rewrite_identity(corpus: Path, bundle: str,
+                           peers: list[str], work: Path) -> None:
+    golden, fabric = work / "rewrite-golden.json", work / "rewrite.json"
+    run_golden(corpus, bundle, golden, command="rewrite-dir")
+    run_fabric(corpus, bundle, peers, fabric, command="rewrite-dir")
+    if golden.read_bytes() != fabric.read_bytes():
+        raise AssertionError(
+            "fabric rewrite-dir diverged from the in-process golden")
+    print("rewrite: fabric rewrite-dir output byte-identical to "
+          "in-process")
 
 
 def check_peer_loss(corpus: Path, bundle: str, peers: list[str],
@@ -216,6 +233,7 @@ def main(argv: list[str] | None = None) -> int:
             check_provision_and_identity(corpus, args.bundle, peers,
                                          work)
             check_push_once(corpus, args.bundle, peers, work)
+            check_rewrite_identity(corpus, args.bundle, peers, work)
             # a cold pair for the kill check — warm stores would
             # replay the corpus before the SIGKILL lands
             fresh = [start_peer(work, tag) for tag in ("c", "d")]

@@ -26,6 +26,7 @@ workers and remote machines.
 
 from __future__ import annotations
 
+import gzip
 import tarfile
 import tempfile
 from dataclasses import dataclass, field
@@ -223,7 +224,7 @@ def pack_bundle(directory: str | Path, archive: str | Path) -> Path:
 
     Members are stored relative to the bundle root in sorted order
     (manifest first only by name), so packing the same directory twice
-    yields the same member list.  Refuses anything that is not a
+    yields the same bytes.  Refuses anything that is not a
     bundle directory — archiving an arbitrary tree would just defer
     the failure to some other machine's load.
     """
@@ -242,7 +243,13 @@ def pack_bundle(directory: str | Path, archive: str | Path) -> Path:
         )
     archive = Path(archive)
     archive.parent.mkdir(parents=True, exist_ok=True)
-    with tarfile.open(archive, "w:gz") as tar:
+    # gzip stamps its header with the packing time unless told not to;
+    # a fixed mtime keeps re-packs of one directory byte-identical, so
+    # its content address (SHA-256) is stable across runs
+    with open(archive, "wb") as raw, \
+            gzip.GzipFile(fileobj=raw, mode="wb", filename="",
+                          mtime=0) as gz, \
+            tarfile.open(fileobj=gz, mode="w") as tar:
         for member in sorted(directory.rglob("*")):
             tar.add(member, arcname=str(member.relative_to(directory)),
                     recursive=False)

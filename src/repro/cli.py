@@ -296,32 +296,172 @@ def _provision_fabric(peers: tuple[str, ...],
     return tuple(bundle_ref for _ in peers)
 
 
-def _read_corpus(paths) -> list[tuple[str, str]] | None:
-    """``(name, source)`` pairs for the fabric path, or ``None``.
+class _SuggestDir:
+    """The ``suggest-dir`` part of the shared directory runner."""
 
-    Remote peers cannot read the coordinator's filesystem, so the
-    corpus travels inline — same contents the in-process pipeline
-    would read, keeping results byte-identical.
-    """
-    named = []
-    for path in paths:
-        try:
-            named.append((str(path), path.read_text(encoding="utf-8")))
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"fabric: cannot read {path}: {exc}", file=sys.stderr)
+    name = "suggest-dir"
+    mode = "suggest"
+    description = ("Suggest complete OpenMP pragmas for every loop of "
+                   "every C file under a directory (batched serving).")
+    noun = "suggestions"
+    failed = "serving failed"
+
+    def add_flags(self, parser) -> None:
+        pass
+
+    def loops(self, r) -> list:
+        return r.suggestions
+
+    def record(self, r) -> dict:
+        return {
+            "file": r.name,
+            "error": r.error,
+            "suggestions": [s.to_dict() for s in r.suggestions],
+        }
+
+    def counts(self, results) -> dict:
+        return {}
+
+    def tally(self, counts: dict) -> str:
+        return ""
+
+    def report(self, r, quiet: bool) -> None:
+        print(f"{r.name}: {len(r.suggestions)} loops, "
+              f"{r.n_parallel} parallelizable")
+        if not quiet:
+            for s in r.suggestions:
+                print("  " + (s.pragma if s.parallel
+                              else f"// sequential: {s.rationale}"))
+
+    def done_counters(self, service) -> dict:
+        return {}
+
+    def service_line(self, service, args) -> str | None:
+        if not args.cache_dir:
             return None
-    return named
+        stats = service.cache_stats()
+        store, forwards = stats["store"], stats["forwards"]
+        return (f"cache: {store['suggest_hits']} files warm, "
+                f"{store['suggest_misses']} computed "
+                f"({forwards['graphs']} graph forwards)")
 
 
-def suggest_dir_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro suggest-dir",
-        description="Suggest complete OpenMP pragmas for every loop of "
-                    "every C file under a directory (batched serving).",
-    )
+class _RewriteDir:
+    """The ``rewrite-dir`` part: verified rewrites instead of
+    suggestions, plus ``--verify`` and the verifier counters."""
+
+    name = "rewrite-dir"
+    mode = "rewrite"
+    description = ("Apply suggested OpenMP pragmas as verified "
+                   "source-to-source rewrites for every C file under "
+                   "a directory. Each accepted loop gets its complete "
+                   "clause list; every transform is gated by "
+                   "differential execution (sequential vs simulated-"
+                   "parallel) and refused with a stable reason code "
+                   "on divergence.")
+    noun = "rewrites"
+    failed = "rewriting failed"
+
+    def add_flags(self, parser) -> None:
+        parser.add_argument("--verify",
+                            action=argparse.BooleanOptionalAction,
+                            default=True,
+                            help="gate every rewrite on the interpreter "
+                                 "verifier (default: on; --no-verify "
+                                 "accepts analyzable loops unchecked, "
+                                 "reported with code 'unverified')")
+
+    def loops(self, r) -> list:
+        return r.rewrites
+
+    def record(self, r) -> dict:
+        return {
+            "file": r.name,
+            "error": r.error,
+            "rewrites": [rw.to_dict() for rw in r.rewrites],
+            "rewritten_source": r.rewritten_source,
+        }
+
+    def counts(self, results) -> dict:
+        return {"accepted": sum(r.n_accepted for r in results),
+                "refused": sum(r.n_refused for r in results)}
+
+    def tally(self, counts: dict) -> str:
+        return (f": {counts['accepted']} rewritten, "
+                f"{counts['refused']} refused")
+
+    def report(self, r, quiet: bool) -> None:
+        print(f"{r.name}: {len(r.rewrites)} loops, "
+              f"{r.n_accepted} rewritten, {r.n_refused} refused")
+        if not quiet:
+            for rw in r.rewrites:
+                if rw.accepted:
+                    print(f"  [{rw.code}] {rw.pragma}")
+                else:
+                    print(f"  [{rw.code}] {rw.detail}"
+                          if rw.detail else f"  [{rw.code}]")
+
+    def done_counters(self, service) -> dict:
+        # in-process only (a daemon keeps its own counters);
+        # "simulations": 0 is the warm-cache contract
+        verifier = service.cache_stats()["verify"]
+        return {"verifier": verifier,
+                "simulations": verifier["simulations"]}
+
+    def service_line(self, service, args) -> str | None:
+        if not args.verify:
+            return None
+        v = service.cache_stats()["verify"]
+        return (f"verifier: {v['simulations']} simulations "
+                f"({v['compiled_runs']} compiled, "
+                f"{v['interpreted_runs']} interpreted runs, "
+                f"{v['cached_verdicts']} cached verdicts) in "
+                f"{v['elapsed_s']:.2f}s")
+
+
+#: tuning flags a backend may ignore — the rest (--pattern, --stream,
+#: --out, --quiet, --bundle, --verify, --faults) every backend honours
+_TUNING_FLAGS = ("--workers", "--batch-size", "--cache-dir", "--shards",
+                 "--deadline", "--scale", "--seed", "--epochs", "--dim")
+
+#: backend → (tuning flags it honours, why it ignores the others)
+_BACKENDS = {
+    "in-process": (
+        ("--workers", "--batch-size", "--cache-dir", "--shards",
+         "--scale", "--seed", "--epochs", "--dim"),
+        "deadlines bound daemon requests only"),
+    "with --server": (
+        ("--shards", "--deadline"),
+        "the daemon's own models and config serve the request"),
+    "with --peers": (
+        (), "each peer's own models and config serve its shard"),
+}
+
+
+def _note_ignored(parser, args, backend: str) -> None:
+    """Name the tuning flags set away from their defaults that
+    ``backend`` does not honour."""
+    honoured, why = _BACKENDS[backend]
+    ignored = [
+        flag for flag in _TUNING_FLAGS
+        if flag not in honoured
+        and getattr(args, flag[2:].replace("-", "_"))
+        != parser.get_default(flag[2:].replace("-", "_"))
+    ]
+    if ignored:
+        verb = "is" if len(ignored) == 1 else "are"
+        print(f"note: {', '.join(ignored)} {verb} ignored {backend} — "
+              f"{why}", file=sys.stderr)
+
+
+def _dir_parser(kind) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"repro {kind.name}",
+                                     description=kind.description)
     parser.add_argument("directory", help="directory of C files")
     parser.add_argument("--pattern", default="*.c",
                         help="glob for source files (default: *.c)")
+    kind.add_flags(parser)
+    parser.set_defaults(verify=True)
     parser.add_argument("--server", default=None, metavar="ADDR",
                         help="serve through a running `repro serve` "
                              "daemon at HOST:PORT or unix:/path.sock "
@@ -341,12 +481,12 @@ def suggest_dir_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="parse-stage worker processes (1 = in-process)")
     parser.add_argument("--shards", type=_shards_arg, default=None,
-                        help="end-to-end corpus shards: the whole parse/"
-                             "encode/forward pipeline runs in N worker "
-                             "processes (1 = in-process, 'auto' picks a "
-                             "count from corpus size and CPUs; with "
-                             "--server, overrides the daemon's per-"
-                             "request fan-out)")
+                        help="end-to-end corpus shards: the whole "
+                             "pipeline (verification included) runs in "
+                             "N worker processes (1 = in-process, "
+                             "'auto' picks a count from corpus size and "
+                             "CPUs; with --server, overrides the "
+                             "daemon's per-request fan-out)")
     parser.add_argument("--stream", action="store_true",
                         help="emit one NDJSON record per file on stdout "
                              "as results complete, then a final "
@@ -362,17 +502,19 @@ def suggest_dir_main(argv: list[str] | None = None) -> int:
                              "on the fly; with --server, the *name* of a "
                              "bundle the daemon serves")
     parser.add_argument("--cache-dir", default=None,
-                        help="persistent suggestion cache: warm runs over "
-                             "unchanged files skip parsing and inference "
-                             "(ignored with --server: the daemon owns "
-                             "the cache)")
+                        help="persistent cache shared by suggest-dir and "
+                             "rewrite-dir: warm runs over unchanged files "
+                             "skip parsing and inference, and replay "
+                             "stored verdicts instead of re-simulating "
+                             "loops (ignored with --server/--peers: the "
+                             "daemons own their caches)")
     parser.add_argument("--scale", type=float, default=0.02,
                         help="training-set scale for the on-the-fly models")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--epochs", type=int, default=4)
     parser.add_argument("--dim", type=int, default=32)
     parser.add_argument("--out", default=None,
-                        help="write suggestions to this JSON file")
+                        help=f"write the {kind.noun} to this JSON file")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-loop output")
     parser.add_argument("--deadline", type=float, default=None,
@@ -386,484 +528,196 @@ def suggest_dir_main(argv: list[str] | None = None) -> int:
                              "JSON or a file of it) in this process "
                              "and its shard workers — chaos testing "
                              "only")
+    return parser
+
+
+def _connect_server(args, kind):
+    """A client of the ``--server`` daemon able to serve ``kind``, or
+    ``None`` (after printing why)."""
+    from repro.client import ClientError, RetryPolicy, connect
+
+    try:
+        # a default RetryPolicy: a busy or restarting daemon is
+        # retried with backoff instead of failing the whole run
+        client = connect(args.server, retry=RetryPolicy(),
+                         deadline_s=args.deadline)
+    except (ClientError, OSError) as exc:
+        print(f"cannot reach server {args.server}: {exc}",
+              file=sys.stderr)
+        return None
+    if kind.mode != "suggest" and not client.capabilities.get(kind.mode):
+        problem = (f"server at {args.server} does not support "
+                   f"{kind.mode} requests (older daemon?)")
+    elif args.bundle and args.bundle not in client.bundles():
+        problem = (f"server at {args.server} does not serve bundle "
+                   f"{args.bundle!r} (available: {client.bundles()})")
+    else:
+        return client
+    print(problem, file=sys.stderr)
+    client.close()
+    return None
+
+
+def _local_service(args):
+    """The in-process service (bundle or on-the-fly models), or
+    ``None`` (after printing why)."""
+    from repro.serve import ServeConfig, build_service
+
+    serve_config = ServeConfig(
+        workers=args.workers, batch_size=args.batch_size,
+        shards=args.shards if args.shards is not None else 1)
+    if args.bundle:
+        from repro.artifacts import ArtifactError, SuggesterBundle
+
+        try:
+            source = SuggesterBundle.load(args.bundle)
+        except ArtifactError as exc:
+            print(f"cannot load bundle: {exc}", file=sys.stderr)
+            return None
+        print(f"loaded {source.describe()}",
+              file=sys.stderr if args.stream else sys.stdout)
+    else:
+        from repro.eval.config import ExperimentConfig
+        from repro.eval.context import get_context
+
+        source = get_context(ExperimentConfig(
+            scale=args.scale, seed=args.seed, epochs=args.epochs,
+            dim=args.dim,
+        ))
+    return build_service(source, serve_config, cache_dir=args.cache_dir)
+
+
+def _run_dir(kind, argv: list[str] | None) -> int:
+    """The one runner behind ``suggest-dir`` and ``rewrite-dir``.
+
+    Reads the corpus once, opens one stream on the chosen backend
+    (in-process, ``--server`` or ``--peers``) — as-completed with
+    ``--stream``, input order otherwise — and reports it; ``kind``
+    supplies the record shape, the summary and the counters.
+    """
+    parser = _dir_parser(kind)
     args = parser.parse_args(argv)
 
-    from pathlib import Path
-
-    from repro.serve import ServeError
+    from repro.serve import CorpusError, ServeError, read_corpus
 
     if not _arm_faults(args.faults):
         return 2
-    client = None
-    service = None
     peers = _parse_peers(args.peers)
-    peer_bundles: tuple[str, ...] = ()
+    if peers and args.server:
+        print("--peers and --server are mutually exclusive",
+              file=sys.stderr)
+        return 2
+    if peers and not args.bundle:
+        print("--peers requires --bundle: the advisor every peer "
+              "serves (a local bundle path, or a name they "
+              "already serve)", file=sys.stderr)
+        return 2
+    try:
+        named = read_corpus(args.directory, args.pattern)
+    except CorpusError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    _note_ignored(parser, args, "with --peers" if peers
+                  else "with --server" if args.server else "in-process")
+
+    # every backend's stream is lazy: no work starts before iteration
+    ordered = not args.stream
+    client = service = None
     if peers:
-        if args.server:
-            print("--peers and --server are mutually exclusive",
-                  file=sys.stderr)
+        from repro.fabric import stream_fabric
+
+        peer_bundles = _provision_fabric(peers, args.bundle)
+        if peer_bundles is None:
             return 2
-        if not args.bundle:
-            print("--peers requires --bundle: the advisor every peer "
-                  "serves (a local bundle path, or a name they "
-                  "already serve)", file=sys.stderr)
-            return 2
-        provisioned = _provision_fabric(peers, args.bundle)
-        if provisioned is None:
-            return 2
-        peer_bundles = provisioned
+        stream = stream_fabric(peers, named, mode=kind.mode,
+                               verify=args.verify,
+                               peer_bundles=peer_bundles, ordered=ordered)
     elif args.server:
-        from repro.client import ClientError, RetryPolicy, connect
+        from repro.serve import protocol
 
-        ignored = [
-            flag for flag, value, default in (
-                ("--workers", args.workers, 1),
-                ("--batch-size", args.batch_size, 256),
-                ("--cache-dir", args.cache_dir, None),
-                ("--scale", args.scale, 0.02),
-                ("--seed", args.seed, 7),
-                ("--epochs", args.epochs, 4),
-                ("--dim", args.dim, 32),
-            ) if value != default
-        ]
-        if ignored:
-            print(f"note: {', '.join(ignored)} are ignored with "
-                  f"--server — the daemon's own models and config "
-                  f"serve the request", file=sys.stderr)
-        try:
-            # a default RetryPolicy: a busy or restarting daemon is
-            # retried with backoff instead of failing the whole run
-            client = connect(args.server, retry=RetryPolicy(),
-                             deadline_s=args.deadline)
-        except (ClientError, OSError) as exc:
-            print(f"cannot reach server {args.server}: {exc}",
-                  file=sys.stderr)
+        client = _connect_server(args, kind)
+        if client is None:
             return 2
-        if args.bundle and args.bundle not in client.bundles():
-            print(f"server at {args.server} does not serve bundle "
-                  f"{args.bundle!r} (available: {client.bundles()})",
-                  file=sys.stderr)
-            client.close()
-            return 2
+        stream = client.stream(protocol.request_for(
+            kind.mode, verify=args.verify, sources=tuple(named),
+            bundle=args.bundle, ordered=ordered, shards=args.shards))
     else:
-        from repro.serve import ServeConfig, build_service
+        from repro.serve import merge_results
 
-        serve_config = ServeConfig(
-            workers=args.workers, batch_size=args.batch_size,
-            shards=args.shards if args.shards is not None else 1)
-        if args.bundle:
-            from repro.artifacts import ArtifactError, SuggesterBundle
-
-            try:
-                bundle = SuggesterBundle.load(args.bundle)
-            except ArtifactError as exc:
-                print(f"cannot load bundle: {exc}", file=sys.stderr)
-                return 2
-            print(f"loaded {bundle.describe()}",
-                  file=sys.stderr if args.stream else sys.stdout)
-            service = build_service(bundle, serve_config,
-                                    cache_dir=args.cache_dir)
-        else:
-            from repro.eval.config import ExperimentConfig
-            from repro.eval.context import get_context
-
-            ctx = get_context(ExperimentConfig(
-                scale=args.scale, seed=args.seed, epochs=args.epochs,
-                dim=args.dim,
-            ))
-            service = build_service(ctx, serve_config,
-                                    cache_dir=args.cache_dir)
-
-    paths = sorted(Path(args.directory).rglob(args.pattern))
-    named = None
-    if peers:
-        named = _read_corpus(paths)
-        if named is None:
+        service = _local_service(args)
+        if service is None:
             return 2
+        stream = merge_results(
+            service.stream_tagged(named, mode=kind.mode,
+                                  verify=args.verify),
+            ordered=ordered)
+
     summary_out = sys.stderr if args.stream else sys.stdout
     start = time.perf_counter()
+    results = []
     try:
-        if args.stream:
-            # as-completed: the first finished file prints long before
-            # the last shard completes; stdout carries pure NDJSON,
-            # closed by one {"event": "done", ...} summary record so
-            # consumers can tell a clean end from a dropped pipe
-            results = []
-            if peers:
-                from repro.fabric import stream_fabric
-
-                stream = stream_fabric(peers, named, mode="suggest",
-                                       peer_bundles=peer_bundles,
-                                       ordered=False)
-            elif client is not None:
-                stream = client.stream_paths(paths, bundle=args.bundle,
-                                             ordered=False,
-                                             shards=args.shards)
-            else:
-                stream = service.stream_paths(paths, ordered=False)
-            for r in stream:
-                _ndjson_record(_structured_error(r.name, r.error) or {
-                    "file": r.name,
-                    "error": r.error,
-                    "suggestions": [s.to_dict() for s in r.suggestions],
-                })
-                results.append(r)
-            by_name = {r.name: r for r in results}
-            results = [by_name[str(p)] for p in paths]
-            _ndjson_record({
-                "event": "done",
-                "files": len(results),
-                "loops": sum(len(r.suggestions) for r in results),
-                "errors": sum(1 for r in results if r.error),
-                "elapsed_s": round(time.perf_counter() - start, 3),
-            })
-        elif peers:
-            from repro.fabric import stream_fabric
-
-            results = list(stream_fabric(peers, named, mode="suggest",
-                                         peer_bundles=peer_bundles,
-                                         ordered=True))
-        elif client is not None:
-            results = client.suggest_paths(paths, bundle=args.bundle,
-                                           shards=args.shards)
-        else:
-            results = service.suggest_paths(paths)
+        # with --stream, stdout carries pure NDJSON as files complete,
+        # closed by one {"event": "done", ...} summary record so
+        # consumers can tell a clean end from a dropped pipe
+        for r in stream:
+            if args.stream:
+                _ndjson_record(_structured_error(r.name, r.error)
+                               or kind.record(r))
+            results.append(r)
     except ServeError as exc:
-        print(f"serving failed: {exc}", file=sys.stderr)
+        print(f"{kind.failed}: {exc}", file=sys.stderr)
         return 1
     finally:
         if client is not None:
             client.close()
     elapsed = time.perf_counter() - start
+    n_loops = sum(len(kind.loops(r)) for r in results)
+    n_errors = sum(1 for r in results if r.error)
+    counts = kind.counts(results)
+    if args.stream:
+        by_name = {r.name: r for r in results}
+        results = [by_name[name] for name, _ in named]
+        _ndjson_record({
+            "event": "done",
+            "files": len(results),
+            "loops": n_loops,
+            **counts,
+            "errors": n_errors,
+            "elapsed_s": round(elapsed, 3),
+            **(kind.done_counters(service) if service is not None
+               else {}),
+        })
     if not results:
         print(f"no files matching {args.pattern!r} under {args.directory}",
               file=summary_out)
         return 1
 
-    n_loops = sum(len(r.suggestions) for r in results)
-    n_errors = sum(1 for r in results if r.error)
     if not args.stream:              # per-file records already emitted
         for r in results:
             if r.error:
                 print(f"{r.name}: SKIPPED ({r.error})")
-                continue
-            print(f"{r.name}: {len(r.suggestions)} loops, "
-                  f"{r.n_parallel} parallelizable")
-            if not args.quiet:
-                for s in r.suggestions:
-                    print("  " + (s.pragma if s.parallel
-                                  else f"// sequential: {s.rationale}"))
+            else:
+                kind.report(r, args.quiet)
     rate = n_loops / elapsed if elapsed > 0 else float("inf")
-    print(f"{n_loops} loops across {len(results)} files "
-          f"({n_errors} unparseable) in {elapsed:.2f}s "
-          f"({rate:.0f} loops/s)", file=summary_out)
-    if args.cache_dir and service is not None:
-        stats = service.cache_stats()
-        store, forwards = stats["store"], stats["forwards"]
-        print(f"cache: {store['suggest_hits']} files warm, "
-              f"{store['suggest_misses']} computed "
-              f"({forwards['graphs']} graph forwards)", file=summary_out)
+    print(f"{n_loops} loops across {len(results)} files"
+          f"{kind.tally(counts)} ({n_errors} unparseable) in "
+          f"{elapsed:.2f}s ({rate:.0f} loops/s)", file=summary_out)
+    line = None if service is None else kind.service_line(service, args)
+    if line:
+        print(line, file=summary_out)
     if args.out:
-        payload = [
-            {
-                "file": r.name,
-                "error": r.error,
-                "suggestions": [s.to_dict() for s in r.suggestions],
-            }
-            for r in results
-        ]
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"suggestions written to {args.out}", file=summary_out)
+            json.dump([kind.record(r) for r in results], fh, indent=2)
+        print(f"{kind.noun} written to {args.out}", file=summary_out)
     return 0
+
+
+def suggest_dir_main(argv: list[str] | None = None) -> int:
+    return _run_dir(_SuggestDir(), argv)
 
 
 def rewrite_dir_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro rewrite-dir",
-        description="Apply suggested OpenMP pragmas as verified "
-                    "source-to-source rewrites for every C file under "
-                    "a directory. Each accepted loop gets its complete "
-                    "clause list; every transform is gated by "
-                    "differential execution (sequential vs simulated-"
-                    "parallel) and refused with a stable reason code "
-                    "on divergence.",
-    )
-    parser.add_argument("directory", help="directory of C files")
-    parser.add_argument("--pattern", default="*.c",
-                        help="glob for source files (default: *.c)")
-    parser.add_argument("--verify", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="gate every rewrite on the interpreter "
-                             "verifier (default: on; --no-verify "
-                             "accepts analyzable loops unchecked, "
-                             "reported with code 'unverified')")
-    parser.add_argument("--server", default=None, metavar="ADDR",
-                        help="rewrite through a running `repro serve` "
-                             "daemon at HOST:PORT or unix:/path.sock "
-                             "instead of building models in-process; "
-                             "results are byte-identical")
-    parser.add_argument("--peers", default=None, metavar="A,B",
-                        help="comma-separated addresses of running "
-                             "daemons: fan the corpus out across them "
-                             "as remote shards (one per peer); a peer "
-                             "lost mid-run requeues onto the rest; "
-                             "requires --bundle; mutually exclusive "
-                             "with --server")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parse-stage worker processes (1 = in-process)")
-    parser.add_argument("--shards", type=_shards_arg, default=None,
-                        help="end-to-end corpus shards for the "
-                             "suggestion stage (1 = in-process, 'auto' "
-                             "picks a count; with --server, overrides "
-                             "the daemon's per-request fan-out)")
-    parser.add_argument("--stream", action="store_true",
-                        help="emit one NDJSON record per file on stdout "
-                             "as results complete, then a final "
-                             '{"event": "done", ...} summary record '
-                             "(the human-readable summary goes to "
-                             "stderr)")
-    parser.add_argument("--batch-size", type=int, default=256,
-                        help="graphs per forward pass")
-    parser.add_argument("--bundle", default=None,
-                        help="serve a trained bundle saved by "
-                             "`repro train --bundle-out`; default trains "
-                             "fast-profile models on the fly; with "
-                             "--server, the *name* of a bundle the "
-                             "daemon serves")
-    parser.add_argument("--cache-dir", default=None,
-                        help="persistent cache shared with suggest-dir: "
-                             "warm runs skip parsing and inference for "
-                             "the suggestion stage and replay stored "
-                             "verdicts instead of re-simulating loops "
-                             "(ignored with --server)")
-    parser.add_argument("--scale", type=float, default=0.02,
-                        help="training-set scale for the on-the-fly models")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--epochs", type=int, default=4)
-    parser.add_argument("--dim", type=int, default=32)
-    parser.add_argument("--out", default=None,
-                        help="write rewrite results (including the full "
-                             "rewritten sources) to this JSON file")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-loop output")
-    parser.add_argument("--deadline", type=float, default=None,
-                        metavar="S",
-                        help="with --server: per-request deadline in "
-                             "seconds; the daemon aborts queued or "
-                             "mid-stream work past it with a "
-                             "'deadline-exceeded' error")
-    parser.add_argument("--faults", default=None, metavar="PLAN",
-                        help="arm a deterministic fault plan (inline "
-                             "JSON or a file of it) in this process "
-                             "and its shard workers — chaos testing "
-                             "only")
-    args = parser.parse_args(argv)
-
-    from pathlib import Path
-
-    from repro.serve import ServeError
-
-    if not _arm_faults(args.faults):
-        return 2
-    client = None
-    service = None
-    peers = _parse_peers(args.peers)
-    peer_bundles: tuple[str, ...] = ()
-    if peers:
-        if args.server:
-            print("--peers and --server are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        if not args.bundle:
-            print("--peers requires --bundle: the advisor every peer "
-                  "serves (a local bundle path, or a name they "
-                  "already serve)", file=sys.stderr)
-            return 2
-        provisioned = _provision_fabric(peers, args.bundle)
-        if provisioned is None:
-            return 2
-        peer_bundles = provisioned
-    elif args.server:
-        from repro.client import ClientError, RetryPolicy, connect
-
-        ignored = [
-            flag for flag, value, default in (
-                ("--workers", args.workers, 1),
-                ("--batch-size", args.batch_size, 256),
-                ("--cache-dir", args.cache_dir, None),
-                ("--scale", args.scale, 0.02),
-                ("--seed", args.seed, 7),
-                ("--epochs", args.epochs, 4),
-                ("--dim", args.dim, 32),
-            ) if value != default
-        ]
-        if ignored:
-            print(f"note: {', '.join(ignored)} are ignored with "
-                  f"--server — the daemon's own models and config "
-                  f"serve the request", file=sys.stderr)
-        try:
-            client = connect(args.server, retry=RetryPolicy(),
-                             deadline_s=args.deadline)
-        except (ClientError, OSError) as exc:
-            print(f"cannot reach server {args.server}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if not client.capabilities.get("rewrite"):
-            print(f"server at {args.server} does not support rewrite "
-                  f"requests (older daemon?)", file=sys.stderr)
-            client.close()
-            return 2
-        if args.bundle and args.bundle not in client.bundles():
-            print(f"server at {args.server} does not serve bundle "
-                  f"{args.bundle!r} (available: {client.bundles()})",
-                  file=sys.stderr)
-            client.close()
-            return 2
-    else:
-        from repro.serve import ServeConfig, build_service
-
-        serve_config = ServeConfig(
-            workers=args.workers, batch_size=args.batch_size,
-            shards=args.shards if args.shards is not None else 1)
-        if args.bundle:
-            from repro.artifacts import ArtifactError, SuggesterBundle
-
-            try:
-                bundle = SuggesterBundle.load(args.bundle)
-            except ArtifactError as exc:
-                print(f"cannot load bundle: {exc}", file=sys.stderr)
-                return 2
-            print(f"loaded {bundle.describe()}",
-                  file=sys.stderr if args.stream else sys.stdout)
-            service = build_service(bundle, serve_config,
-                                    cache_dir=args.cache_dir)
-        else:
-            from repro.eval.config import ExperimentConfig
-            from repro.eval.context import get_context
-
-            ctx = get_context(ExperimentConfig(
-                scale=args.scale, seed=args.seed, epochs=args.epochs,
-                dim=args.dim,
-            ))
-            service = build_service(ctx, serve_config,
-                                    cache_dir=args.cache_dir)
-
-    def _record(r) -> dict:
-        return {
-            "file": r.name,
-            "error": r.error,
-            "rewrites": [rw.to_dict() for rw in r.rewrites],
-            "rewritten_source": r.rewritten_source,
-        }
-
-    paths = sorted(Path(args.directory).rglob(args.pattern))
-    named = None
-    if peers:
-        named = _read_corpus(paths)
-        if named is None:
-            return 2
-    summary_out = sys.stderr if args.stream else sys.stdout
-    start = time.perf_counter()
-    try:
-        if args.stream:
-            results = []
-            if peers:
-                from repro.fabric import stream_fabric
-
-                stream = stream_fabric(peers, named, mode="rewrite",
-                                       verify=args.verify,
-                                       peer_bundles=peer_bundles,
-                                       ordered=False)
-            elif client is not None:
-                stream = client.stream_rewrite_paths(
-                    paths, bundle=args.bundle, ordered=False,
-                    verify=args.verify, shards=args.shards)
-            else:
-                stream = service.stream_rewrite_paths(
-                    paths, ordered=False, verify=args.verify)
-            for r in stream:
-                _ndjson_record(_structured_error(r.name, r.error)
-                               or _record(r))
-                results.append(r)
-            by_name = {r.name: r for r in results}
-            results = [by_name[str(p)] for p in paths]
-            done = {
-                "event": "done",
-                "files": len(results),
-                "loops": sum(len(r.rewrites) for r in results),
-                "accepted": sum(r.n_accepted for r in results),
-                "refused": sum(r.n_refused for r in results),
-                "errors": sum(1 for r in results if r.error),
-                "elapsed_s": round(time.perf_counter() - start, 3),
-            }
-            if service is not None:
-                # verifier counters (in-process only: the daemon keeps
-                # its own); "simulations": 0 is the warm-cache contract
-                done["verifier"] = service.cache_stats()["verify"]
-                done["simulations"] = done["verifier"]["simulations"]
-            _ndjson_record(done)
-        elif peers:
-            from repro.fabric import stream_fabric
-
-            results = list(stream_fabric(peers, named, mode="rewrite",
-                                         verify=args.verify,
-                                         peer_bundles=peer_bundles,
-                                         ordered=True))
-        elif client is not None:
-            results = client.rewrite_paths(paths, bundle=args.bundle,
-                                           verify=args.verify,
-                                           shards=args.shards)
-        else:
-            results = service.rewrite_paths(paths, verify=args.verify)
-    except ServeError as exc:
-        print(f"rewriting failed: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if client is not None:
-            client.close()
-    elapsed = time.perf_counter() - start
-    if not results:
-        print(f"no files matching {args.pattern!r} under {args.directory}",
-              file=summary_out)
-        return 1
-
-    n_loops = sum(len(r.rewrites) for r in results)
-    n_accepted = sum(r.n_accepted for r in results)
-    n_refused = sum(r.n_refused for r in results)
-    n_errors = sum(1 for r in results if r.error)
-    if not args.stream:              # per-file records already emitted
-        for r in results:
-            if r.error:
-                print(f"{r.name}: SKIPPED ({r.error})")
-                continue
-            print(f"{r.name}: {len(r.rewrites)} loops, "
-                  f"{r.n_accepted} rewritten, {r.n_refused} refused")
-            if not args.quiet:
-                for rw in r.rewrites:
-                    if rw.accepted:
-                        print(f"  [{rw.code}] {rw.pragma}")
-                    else:
-                        print(f"  [{rw.code}] {rw.detail}"
-                              if rw.detail else f"  [{rw.code}]")
-    rate = n_loops / elapsed if elapsed > 0 else float("inf")
-    print(f"{n_loops} loops across {len(results)} files: "
-          f"{n_accepted} rewritten, {n_refused} refused "
-          f"({n_errors} unparseable) in {elapsed:.2f}s "
-          f"({rate:.0f} loops/s)", file=summary_out)
-    if service is not None and args.verify:
-        v = service.cache_stats()["verify"]
-        print(f"verifier: {v['simulations']} simulations "
-              f"({v['compiled_runs']} compiled, "
-              f"{v['interpreted_runs']} interpreted runs, "
-              f"{v['cached_verdicts']} cached verdicts) in "
-              f"{v['elapsed_s']:.2f}s", file=summary_out)
-    if args.out:
-        payload = [_record(r) for r in results]
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"rewrites written to {args.out}", file=summary_out)
-    return 0
+    return _run_dir(_RewriteDir(), argv)
 
 
 def serve_main(argv: list[str] | None = None) -> int:

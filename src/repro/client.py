@@ -1,16 +1,20 @@
 """Client library for the suggestion daemon (``repro serve``).
 
 :func:`connect` opens one connection, performs the
-:mod:`repro.serve.protocol` handshake, and returns a :class:`Client`
-whose surface mirrors the in-process
-:class:`~repro.serve.pipeline.SuggestionService` —
-``stream_sources`` / ``stream_paths`` / ``stream_dir`` yield
-:class:`~repro.serve.pipeline.FileSuggestions` as the server finishes
-them, ``suggest_*`` collect.  File contents are read locally and sent
-inline, so the server needs no access to the client's filesystem, and
-replies revive through the exact payload shapes the in-process path
-produces — the suggestions are byte-identical to running the pipeline
-locally.
+:mod:`repro.serve.protocol` handshake, and returns a :class:`Client`.
+Its one serving entry point takes the wire request itself:
+``client.stream(request)`` yields results as the server finishes them
+and ``client.batch(request)`` collects one batch reply — a
+:class:`~repro.serve.protocol.SuggestRequest` answers with
+:class:`~repro.serve.pipeline.FileSuggestions`, a
+:class:`~repro.serve.protocol.RewriteRequest` with
+:class:`~repro.rewrite.FileRewrite`.  ``stream_sources`` /
+``suggest_sources`` (and their rewrite twins) mirror the in-process
+:class:`~repro.serve.pipeline.SuggestionService` over inline
+``(name, source)`` pairs, so the server needs no access to the
+client's filesystem.  Replies revive through the exact payload shapes
+the in-process path produces — the results are byte-identical to
+running the pipeline locally.
 
 Addresses: ``"host:port"`` (TCP) or ``"unix:/path/to.sock"``; a bare
 path to an existing socket file also works.
@@ -44,7 +48,7 @@ from pathlib import Path
 
 from repro.rewrite import FileRewrite
 from repro.serve import protocol
-from repro.serve.pipeline import FileSuggestions
+from repro.serve.pipeline import FileSuggestions, revive_for
 from repro.serve.stream import ServeError
 
 #: default seconds without a frame before a request is abandoned; the
@@ -367,7 +371,7 @@ class Client:
     ) -> Iterator[protocol.FileResult]:
         """Stream one request's raw :class:`FileResult` frames.
 
-        The index-tagged, payload-level form of :meth:`_stream` — what
+        The index-tagged, payload-level form of :meth:`stream` — what
         a fabric relay forwards verbatim onto a supervisor queue.
         Retry, reconnect, and exactly-once index dedup apply the same.
         """
@@ -398,14 +402,28 @@ class Client:
                 # idempotent and `seen` dedups the re-served files
                 self._absorb_failure(exc, failures)
 
-    def _stream(self, request: protocol.SuggestRequest,
-                revive=FileSuggestions.from_payload) -> Iterator:
-        for message in self.stream_request(request):
-            yield revive(message.name, message.payload)
+    def stream(self, request: protocol.SuggestRequest) -> Iterator:
+        """Stream one request's results as the server finishes them.
 
-    def _batch(self, request: protocol.SuggestRequest,
-               revive=FileSuggestions.from_payload) -> list:
-        request = self._with_deadline(request)
+        Yields :class:`~repro.serve.pipeline.FileSuggestions`, or
+        :class:`~repro.rewrite.FileRewrite` for a
+        :class:`~repro.serve.protocol.RewriteRequest` — revived through
+        the exact payload shapes the in-process path produces.  The
+        request may address inline ``sources`` or, on a daemon started
+        with ``--allow-local-dir``, server-side ``paths``/``dir``.
+        Raises :class:`ClientError` if the stream ends without the
+        server's ``done`` frame.
+        """
+        revive = self._revive(request)
+        return (revive(message.name, message.payload) for message
+                in self.stream_request(replace(request, stream=True)))
+
+    def batch(self, request: protocol.SuggestRequest) -> list:
+        """One request's results in input order, as a single batch
+        reply (one frame, then done); see :meth:`stream`."""
+        revive = self._revive(request)
+        request = self._with_deadline(
+            replace(request, stream=False, ordered=True))
         failures = 0
         while True:
             try:
@@ -427,6 +445,14 @@ class Client:
             except ClientError as exc:
                 failures += 1
                 self._absorb_failure(exc, failures)
+
+    def _revive(self, request: protocol.SuggestRequest):
+        if isinstance(request, protocol.RewriteRequest) and \
+                not self.capabilities.get("rewrite"):
+            raise ClientError(
+                "server does not advertise the 'rewrite' capability "
+                "(older daemon?)", code="rewrite-unsupported")
+        return revive_for(request.KIND)
 
     # -- health --------------------------------------------------------------
 
@@ -511,66 +537,19 @@ class Client:
 
         Mirrors :meth:`SuggestionService.stream_sources`; the server
         does the work over its warm store and streams files back as
-        they finish.  Raises :class:`ClientError` if the stream ends
-        without the server's ``done`` frame.
+        they finish.
         """
-        named = tuple((str(name), source)
-                      for name, source in named_sources)
-        return self._stream(protocol.SuggestRequest(
-            sources=named, bundle=bundle, ordered=ordered,
-            stream=True, shards=shards))
+        return self.stream(protocol.SuggestRequest(
+            sources=_inline(named_sources), bundle=bundle,
+            ordered=ordered, shards=shards))
 
     def suggest_sources(
         self, named_sources: list[tuple[str, str]], *,
         bundle: str | None = None, shards: int | str | None = None,
     ) -> list[FileSuggestions]:
         """Batch reply in input order (one frame, then done)."""
-        named = tuple((str(name), source)
-                      for name, source in named_sources)
-        return self._batch(protocol.SuggestRequest(
-            sources=named, bundle=bundle, ordered=True,
-            stream=False, shards=shards))
-
-    # -- path/dir conveniences (local reads, mirroring the service) ----------
-
-    def stream_paths(self, paths, *, bundle: str | None = None,
-                     ordered: bool = True,
-                     shards: int | str | None = None,
-                     ) -> Iterator[FileSuggestions]:
-        named = [(str(p), Path(p).read_text(encoding="utf-8"))
-                 for p in paths]
-        return self.stream_sources(named, bundle=bundle,
-                                   ordered=ordered, shards=shards)
-
-    def stream_dir(self, directory, pattern: str = "*.c", *,
-                   bundle: str | None = None, ordered: bool = True,
-                   shards: int | str | None = None,
-                   ) -> Iterator[FileSuggestions]:
-        paths = sorted(Path(directory).rglob(pattern))
-        return self.stream_paths(paths, bundle=bundle, ordered=ordered,
-                                 shards=shards)
-
-    def suggest_paths(self, paths, *, bundle: str | None = None,
-                      shards: int | str | None = None,
-                      ) -> list[FileSuggestions]:
-        named = [(str(p), Path(p).read_text(encoding="utf-8"))
-                 for p in paths]
-        return self.suggest_sources(named, bundle=bundle, shards=shards)
-
-    def suggest_dir(self, directory, pattern: str = "*.c", *,
-                    bundle: str | None = None,
-                    shards: int | str | None = None,
-                    ) -> list[FileSuggestions]:
-        paths = sorted(Path(directory).rglob(pattern))
-        return self.suggest_paths(paths, bundle=bundle, shards=shards)
-
-    # -- verified rewrites (mirrors SuggestionService.rewrite_*) -------------
-
-    def _require_rewrite(self) -> None:
-        if not self.capabilities.get("rewrite"):
-            raise ClientError(
-                "server does not advertise the 'rewrite' capability "
-                "(older daemon?)", code="rewrite-unsupported")
+        return self.batch(protocol.SuggestRequest(
+            sources=_inline(named_sources), bundle=bundle, shards=shards))
 
     def stream_rewrite_sources(
         self, named_sources: list[tuple[str, str]], *,
@@ -585,14 +564,9 @@ class Client:
         :class:`~repro.rewrite.FileRewrite` results back — byte-
         identical to running the rewrite pass locally.
         """
-        self._require_rewrite()
-        named = tuple((str(name), source)
-                      for name, source in named_sources)
-        return self._stream(
-            protocol.RewriteRequest(sources=named, bundle=bundle,
-                                    ordered=ordered, stream=True,
-                                    shards=shards, verify=verify),
-            revive=FileRewrite.from_payload)
+        return self.stream(protocol.RewriteRequest(
+            sources=_inline(named_sources), bundle=bundle,
+            ordered=ordered, shards=shards, verify=verify))
 
     def rewrite_sources(
         self, named_sources: list[tuple[str, str]], *,
@@ -600,82 +574,11 @@ class Client:
         shards: int | str | None = None,
     ) -> list[FileRewrite]:
         """Batch rewrite reply in input order."""
-        self._require_rewrite()
-        named = tuple((str(name), source)
-                      for name, source in named_sources)
-        return self._batch(
-            protocol.RewriteRequest(sources=named, bundle=bundle,
-                                    ordered=True, stream=False,
-                                    shards=shards, verify=verify),
-            revive=FileRewrite.from_payload)
+        return self.batch(protocol.RewriteRequest(
+            sources=_inline(named_sources), bundle=bundle,
+            shards=shards, verify=verify))
 
-    def stream_rewrite_paths(self, paths, *, bundle: str | None = None,
-                             ordered: bool = True, verify: bool = True,
-                             shards: int | str | None = None,
-                             ) -> Iterator[FileRewrite]:
-        named = [(str(p), Path(p).read_text(encoding="utf-8"))
-                 for p in paths]
-        return self.stream_rewrite_sources(named, bundle=bundle,
-                                           ordered=ordered,
-                                           verify=verify, shards=shards)
 
-    def stream_rewrite_dir(self, directory, pattern: str = "*.c", *,
-                           bundle: str | None = None,
-                           ordered: bool = True, verify: bool = True,
-                           shards: int | str | None = None,
-                           ) -> Iterator[FileRewrite]:
-        paths = sorted(Path(directory).rglob(pattern))
-        return self.stream_rewrite_paths(paths, bundle=bundle,
-                                         ordered=ordered, verify=verify,
-                                         shards=shards)
-
-    def rewrite_paths(self, paths, *, bundle: str | None = None,
-                      verify: bool = True,
-                      shards: int | str | None = None,
-                      ) -> list[FileRewrite]:
-        named = [(str(p), Path(p).read_text(encoding="utf-8"))
-                 for p in paths]
-        return self.rewrite_sources(named, bundle=bundle, verify=verify,
-                                    shards=shards)
-
-    def rewrite_dir(self, directory, pattern: str = "*.c", *,
-                    bundle: str | None = None, verify: bool = True,
-                    shards: int | str | None = None,
-                    ) -> list[FileRewrite]:
-        paths = sorted(Path(directory).rglob(pattern))
-        return self.rewrite_paths(paths, bundle=bundle, verify=verify,
-                                  shards=shards)
-
-    # -- server-side paths (daemon colocated with the corpus) ----------------
-
-    def stream_server_dir(self, directory, pattern: str = "*.c", *,
-                          bundle: str | None = None,
-                          ordered: bool = True,
-                          shards: int | str | None = None,
-                          ) -> Iterator[FileSuggestions]:
-        """Stream over a directory on the *server's* filesystem.
-
-        No file contents travel client → server; the daemon reads and
-        serves its local corpus (refusing with ``bad-request`` if the
-        directory or a file is unreadable there).
-        """
-        return self._stream(protocol.SuggestRequest(
-            dir=str(directory), pattern=pattern, bundle=bundle,
-            ordered=ordered, stream=True, shards=shards))
-
-    def suggest_server_dir(self, directory, pattern: str = "*.c", *,
-                           bundle: str | None = None,
-                           shards: int | str | None = None,
-                           ) -> list[FileSuggestions]:
-        return self._batch(protocol.SuggestRequest(
-            dir=str(directory), pattern=pattern, bundle=bundle,
-            ordered=True, stream=False, shards=shards))
-
-    def suggest_server_paths(self, paths, *,
-                             bundle: str | None = None,
-                             shards: int | str | None = None,
-                             ) -> list[FileSuggestions]:
-        """Batch over files named by *server-side* paths."""
-        return self._batch(protocol.SuggestRequest(
-            paths=tuple(str(p) for p in paths), bundle=bundle,
-            ordered=True, stream=False, shards=shards))
+def _inline(named_sources) -> tuple[tuple[str, str], ...]:
+    """``(name, source)`` pairs as a request's inline ``sources``."""
+    return tuple((str(name), source) for name, source in named_sources)

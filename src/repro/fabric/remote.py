@@ -38,7 +38,7 @@ from dataclasses import replace
 
 from repro.client import ClientError, RetryPolicy, connect
 from repro.serve import faults, protocol
-from repro.serve.pipeline import FileSuggestions, ServeConfig
+from repro.serve.pipeline import ServeConfig, revive_for
 from repro.serve.plan import plan_peer_shards
 from repro.serve.stream import merge_results, stream_shards
 from repro.serve.worker import WorkerSpec
@@ -80,13 +80,9 @@ def _dial(spec: WorkerSpec, sid: int, *, client_id: str):
 
 def _request_for(spec: WorkerSpec, items,
                  bundle: str | None) -> protocol.SuggestRequest:
-    named = tuple((str(name), source) for name, source in items)
-    if spec.mode == "rewrite":
-        return protocol.RewriteRequest(sources=named, bundle=bundle,
-                                       ordered=False, stream=True,
-                                       verify=spec.verify)
-    return protocol.SuggestRequest(sources=named, bundle=bundle,
-                                   ordered=False, stream=True)
+    return protocol.request_for(
+        spec.mode, verify=spec.verify, bundle=bundle, ordered=False,
+        sources=tuple((str(name), source) for name, source in items))
 
 
 def _die(queue) -> None:
@@ -202,14 +198,8 @@ def stream_fabric(
                       mode=mode, verify=verify, peers=peers,
                       peer_bundles=peer_bundles,
                       peer_timeout_s=timeout_s)
-    if mode == "rewrite":
-        from repro.rewrite import FileRewrite
-
-        revive = FileRewrite.from_payload
-    else:
-        revive = FileSuggestions.from_payload
     named = [(str(name), source) for name, source in named_sources]
     n_shards = plan_peer_shards(len(peers), named)
     return merge_results(
-        stream_shards(spec, named, n_shards, revive=revive),
+        stream_shards(spec, named, n_shards, revive=revive_for(mode)),
         ordered=ordered)

@@ -19,6 +19,7 @@ efficient here:
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable
 
 import numpy as np
@@ -69,16 +70,29 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
+_NO_GRAD_LOCK = threading.Lock()
+_NO_GRAD_DEPTH = 0
+
+
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording (inference / metric computation)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape recording (inference / metric computation).
+
+    Open blocks are counted under a lock instead of each saving and
+    restoring the flag: blocks that overlap across threads (a daemon
+    serving two bundles, or several in one process) would otherwise
+    restore each other's "disabled" and leave recording off for good.
+    """
+    global _GRAD_ENABLED, _NO_GRAD_DEPTH
+    with _NO_GRAD_LOCK:
+        _NO_GRAD_DEPTH += 1
+        _GRAD_ENABLED = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        with _NO_GRAD_LOCK:
+            _NO_GRAD_DEPTH -= 1
+            _GRAD_ENABLED = _NO_GRAD_DEPTH == 0
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

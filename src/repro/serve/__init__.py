@@ -6,8 +6,11 @@ into size-balanced shards, :mod:`~repro.serve.worker` runs the whole
 parse → encode → block-diagonal forward → fan-out pipeline inside each
 worker process, and :mod:`~repro.serve.stream` streams per-file results
 back over a result queue as they complete — ordered or as-completed.
-:class:`SuggestionService.stream_dir` is the streaming API;
-``suggest_dir`` collects it.  A :class:`SuggestionStore` persists parse
+:meth:`SuggestionService.stream_tagged` is the one streaming core —
+suggest or verified rewrite, keyed by mode — that ``stream_sources``
+and ``stream_rewrite_sources`` merge and ``suggest_sources`` /
+``rewrite_sources`` collect; :func:`read_corpus` is the one reader of
+``(name, source)`` pairs from disk.  A :class:`SuggestionStore` persists parse
 results and finished suggestions across processes, keyed by file
 content hash and model fingerprint, so warm runs over unchanged files
 skip both the frontend and every model forward — and every shard
@@ -29,6 +32,7 @@ per-file blame and quarantine), :mod:`repro.client` carries a
 torn store writes and refused bundle loads so all of it is testable.
 """
 
+from repro.serve.corpus import CorpusError, read_corpus
 from repro.serve.faults import Fault, FaultError, FaultPlan
 from repro.serve.parse import ParsedFile, parse_many, parse_one
 from repro.serve.pipeline import (
@@ -56,6 +60,7 @@ from repro.serve.stream import ServeError, merge_results, stream_shards
 from repro.serve.worker import WorkerSpec
 
 __all__ = [
+    "CorpusError",
     "Fault",
     "FaultError",
     "FaultPlan",
@@ -81,6 +86,7 @@ __all__ = [
     "parse_one",
     "plan_peer_shards",
     "plan_shards",
+    "read_corpus",
     "resolve_shards",
     "stream_shards",
 ]

@@ -12,14 +12,16 @@ build + encode.  :class:`SuggestionService` restructures that into
    workload (chunked at ``batch_size`` graphs for memory),
 4. a fan-out back to per-file :class:`FileSuggestions`.
 
-Corpora additionally shard end-to-end: ``stream_sources`` with
+Corpora additionally shard end-to-end: ``stream_tagged`` — the one
+streaming core, keyed by mode (suggest or verified rewrite) — with
 ``shards > 1`` partitions the workload by file size
 (:mod:`repro.serve.plan`), runs the whole parse → encode → forward →
 fan-out pipeline *locally* inside each worker process
 (:mod:`repro.serve.worker`), and yields per-file results as they stream
 back over the result queue (:mod:`repro.serve.stream`) — in input
-order or as completed.  ``suggest_sources`` / ``suggest_dir`` are thin
-collecting wrappers over the stream.
+order or as completed.  ``stream_sources`` / ``stream_rewrite_sources``
+merge its tags into ordered or as-completed streams, and
+``suggest_sources`` / ``rewrite_sources`` collect them.
 
 A :class:`~repro.serve.store.SuggestionStore` extends the caching
 across processes: finished per-file suggestions (keyed by content hash
@@ -103,6 +105,17 @@ def _revive(cls, name: str, payload: dict):
         return cls.from_payload(name, payload)
     except (KeyError, TypeError, AttributeError):
         return None
+
+
+def revive_for(mode: str):
+    """``from_payload`` of the per-file result a ``mode`` streams:
+    :class:`FileSuggestions` for ``"suggest"``,
+    :class:`~repro.rewrite.FileRewrite` for ``"rewrite"``."""
+    if mode == "rewrite":
+        from repro.rewrite import FileRewrite
+
+        return FileRewrite.from_payload
+    return FileSuggestions.from_payload
 
 
 def _model_fingerprint(model, require: bool = False) -> str:
@@ -359,15 +372,30 @@ class SuggestionService:
 
     def stream_tagged(
         self, named_sources: list[tuple[str, str]], *,
-        shards: int | str | None = None,
-    ) -> Iterator[tuple[int, FileSuggestions]]:
-        """``(input_index, FileSuggestions)`` pairs in completion order.
+        mode: str = "suggest", verify: bool = True,
+        shards: int | str | None = None, rewrite_config=None,
+    ) -> Iterator[tuple[int, object]]:
+        """``(input_index, result)`` pairs in completion order.
 
-        The index-tagged core under :meth:`stream_sources`, exposed for
-        consumers that need to know *which* input each result answers
-        while still observing completion order — the network server
-        forwards these tags to its clients verbatim.  ``shards``
-        follows the same rules as :meth:`stream_sources`.
+        The one tagged core under every stream: ``mode="suggest"``
+        yields :class:`FileSuggestions`, ``mode="rewrite"`` yields
+        :class:`~repro.rewrite.FileRewrite` — each file's suggestions
+        (off the same store/dedup path, so cached suggestions still
+        skip parse and inference) applied as verified AST rewrites the
+        moment they complete, with cached verdicts skipping simulation.
+        ``verify``/``rewrite_config`` only matter for rewrites.
+
+        ``shards > 1`` partitions the corpus by file size and runs the
+        *whole* pipeline — verification included — inside that many
+        worker processes, each committing to the shared persistent
+        store and streaming finished files back; ``shards`` defaults
+        to the service config, and ``"auto"`` (or ``0``) picks a count
+        from corpus statistics and the CPU count — falling back to
+        in-process on a single CPU, where forked workers only add
+        overhead.  Shard workers drive this core themselves with
+        ``shards=1``.  The network server forwards the index tags to
+        its clients verbatim.  Results are byte-identical across shard
+        counts, orderings, and the daemon path.
         """
         from repro.serve.plan import resolve_shards
         from repro.serve.stream import stream_shards
@@ -377,10 +405,21 @@ class SuggestionService:
             self.config.shards if shards is None else shards, named)
         if n_shards > 1 and len(named) > 1:
             return stream_shards(
-                self._worker_spec(), named, n_shards,
+                self._worker_spec(mode=mode, verify=verify,
+                                  verify_config=rewrite_config),
+                named, n_shards,
                 on_stats=self._absorb_worker_stats,
+                revive=revive_for(mode),
             )
-        return self.iter_sources(named)
+        if mode != "rewrite":
+            return self.iter_sources(named)
+        from repro.rewrite import rewrite_file
+
+        return ((i, rewrite_file(named[i][0], named[i][1], fs,
+                                 verify=verify, config=rewrite_config,
+                                 store=self.store,
+                                 stats=self._verify_stats))
+                for i, fs in self.iter_sources(named))
 
     def stream_sources(
         self, named_sources: list[tuple[str, str]], *,
@@ -388,43 +427,16 @@ class SuggestionService:
     ) -> Iterator[FileSuggestions]:
         """Stream suggestions for many ``(name, source)`` pairs.
 
-        ``shards > 1`` partitions the corpus by file size and runs the
-        entire pipeline inside that many worker processes, each
-        committing to the shared persistent store and streaming
-        finished files back as they complete; ``shards`` defaults to
-        the service config, and ``"auto"`` (or ``0``) picks a count
-        from corpus statistics and the CPU count — falling back to
-        in-process on a single CPU, where forked workers only add
-        overhead.  ``ordered=True`` re-interleaves results
-        into input order (buffering out-of-order arrivals);
-        ``ordered=False`` yields in completion order for lowest
-        first-result latency.  Suggestions are byte-identical across
-        shard counts and orderings.
+        ``ordered=True`` re-interleaves results into input order
+        (buffering out-of-order arrivals); ``ordered=False`` yields in
+        completion order for lowest first-result latency.  ``shards``
+        follows :meth:`stream_tagged`.
         """
         from repro.serve.stream import merge_results
 
         return merge_results(self.stream_tagged(named_sources,
                                                 shards=shards),
                              ordered=ordered)
-
-    def stream_paths(self, paths, *, ordered: bool = True,
-                     shards: int | None = None,
-                     ) -> Iterator[FileSuggestions]:
-        named = [
-            (str(path), Path(path).read_text(encoding="utf-8"))
-            for path in paths
-        ]
-        return self.stream_sources(named, ordered=ordered, shards=shards)
-
-    def stream_dir(self, directory, pattern: str = "*.c", *,
-                   ordered: bool = True, shards: int | None = None,
-                   ) -> Iterator[FileSuggestions]:
-        """Stream suggestions for every ``pattern`` file under
-        ``directory`` as they complete."""
-        paths = sorted(Path(directory).rglob(pattern))
-        return self.stream_paths(paths, ordered=ordered, shards=shards)
-
-    # -- collecting wrappers -------------------------------------------------
 
     def suggest_sources(
         self, named_sources: list[tuple[str, str]],
@@ -440,70 +452,6 @@ class SuggestionService:
         """
         return list(self.stream_sources(named_sources, ordered=True))
 
-    def suggest_paths(self, paths) -> list[FileSuggestions]:
-        return list(self.stream_paths(paths, ordered=True))
-
-    def suggest_dir(self, directory, pattern: str = "*.c",
-                    ) -> list[FileSuggestions]:
-        """Suggestions for every ``pattern`` file under ``directory``."""
-        return list(self.stream_dir(directory, pattern=pattern,
-                                    ordered=True))
-
-    # -- rewriting -----------------------------------------------------------
-
-    def iter_rewrites(
-        self, named_sources: list[tuple[str, str]], *,
-        verify: bool = True, rewrite_config=None,
-    ) -> Iterator[tuple[int, "FileRewrite"]]:
-        """In-process rewrite core: suggestions off :meth:`iter_sources`
-        applied as verified AST rewrites the moment they complete, with
-        the persistent verdict layer and this service's verifier
-        counters threaded through.  Shard workers drive this directly.
-        """
-        from repro.rewrite import rewrite_file
-
-        named = list(named_sources)
-        for i, fs in self.iter_sources(named):
-            yield i, rewrite_file(named[i][0], named[i][1], fs,
-                                  verify=verify, config=rewrite_config,
-                                  store=self.store,
-                                  stats=self._verify_stats)
-
-    def stream_rewrite_tagged(
-        self, named_sources: list[tuple[str, str]], *,
-        verify: bool = True, shards: int | str | None = None,
-        rewrite_config=None,
-    ) -> Iterator[tuple[int, "FileRewrite"]]:
-        """``(input_index, FileRewrite)`` pairs in completion order.
-
-        Each file's suggestions come off the same store/dedup path as
-        plain suggesting — cached suggestions still skip parse and
-        inference, cached verdicts skip simulation — and are applied as
-        verified AST rewrites the moment they complete.  With
-        ``shards > 1`` the *whole* pipeline including verification runs
-        inside the shard workers, so verification distributes across
-        processes too.  The rewrite pass is deterministic, so results
-        are byte-identical across shard counts, orderings, and the
-        daemon path.
-        """
-        from repro.rewrite import FileRewrite
-        from repro.serve.plan import resolve_shards
-        from repro.serve.stream import stream_shards
-
-        named = list(named_sources)
-        n_shards = resolve_shards(
-            self.config.shards if shards is None else shards, named)
-        if n_shards > 1 and len(named) > 1:
-            return stream_shards(
-                self._worker_spec(mode="rewrite", verify=verify,
-                                  verify_config=rewrite_config),
-                named, n_shards,
-                on_stats=self._absorb_worker_stats,
-                revive=FileRewrite.from_payload,
-            )
-        return self.iter_rewrites(named, verify=verify,
-                                  rewrite_config=rewrite_config)
-
     def stream_rewrite_sources(
         self, named_sources: list[tuple[str, str]], *,
         ordered: bool = True, verify: bool = True,
@@ -513,28 +461,9 @@ class SuggestionService:
         from repro.serve.stream import merge_results
 
         return merge_results(
-            self.stream_rewrite_tagged(named_sources, verify=verify,
-                                       shards=shards),
+            self.stream_tagged(named_sources, mode="rewrite",
+                               verify=verify, shards=shards),
             ordered=ordered)
-
-    def stream_rewrite_paths(self, paths, *, ordered: bool = True,
-                             verify: bool = True,
-                             shards: int | None = None):
-        named = [
-            (str(path), Path(path).read_text(encoding="utf-8"))
-            for path in paths
-        ]
-        return self.stream_rewrite_sources(named, ordered=ordered,
-                                           verify=verify, shards=shards)
-
-    def stream_rewrite_dir(self, directory, pattern: str = "*.c", *,
-                           ordered: bool = True, verify: bool = True,
-                           shards: int | None = None):
-        """Stream rewrites for every ``pattern`` file under
-        ``directory`` as they complete."""
-        paths = sorted(Path(directory).rglob(pattern))
-        return self.stream_rewrite_paths(paths, ordered=ordered,
-                                         verify=verify, shards=shards)
 
     def rewrite_sources(self, named_sources: list[tuple[str, str]], *,
                         verify: bool = True) -> list["FileRewrite"]:
@@ -543,18 +472,6 @@ class SuggestionService:
         return list(self.stream_rewrite_sources(named_sources,
                                                 ordered=True,
                                                 verify=verify))
-
-    def rewrite_paths(self, paths, *, verify: bool = True,
-                      ) -> list["FileRewrite"]:
-        return list(self.stream_rewrite_paths(paths, ordered=True,
-                                              verify=verify))
-
-    def rewrite_dir(self, directory, pattern: str = "*.c", *,
-                    verify: bool = True) -> list["FileRewrite"]:
-        """Verified rewrites for every ``pattern`` file under
-        ``directory``."""
-        return list(self.stream_rewrite_dir(directory, pattern=pattern,
-                                            ordered=True, verify=verify))
 
     # -- sharding support ----------------------------------------------------
 

@@ -395,6 +395,16 @@ class RewriteRequest(SuggestRequest):
                        verify=_get(payload, "verify", bool, default=True))
 
 
+def request_for(mode: str, *, verify: bool = True,
+                **fields) -> SuggestRequest:
+    """The request serving ``mode`` — a :class:`RewriteRequest` for
+    ``"rewrite"`` (carrying ``verify``), else a :class:`SuggestRequest`;
+    ``fields`` are the shared request fields."""
+    if mode == RewriteRequest.KIND:
+        return RewriteRequest(verify=verify, **fields)
+    return SuggestRequest(**fields)
+
+
 @dataclass(frozen=True)
 class FileResult:
     """Server → client: one finished file of a streaming reply.

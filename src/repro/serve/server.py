@@ -71,6 +71,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.serve import protocol
+from repro.serve.corpus import CorpusError, read_corpus
 from repro.serve.pipeline import ServeConfig, SuggestionService
 from repro.serve.store import open_store
 
@@ -995,28 +996,22 @@ class SuggestServer:
         server-side paths/dirs when the request names them (and the
         daemon opted in via ``local_roots``)."""
         if request.dir is not None:
-            root = Path(request.dir)
-            self._check_local(root)
-            if not root.is_dir():
+            files = Path(request.dir)
+            self._check_local(files)
+            if not files.is_dir():
                 raise protocol.ProtocolError(
                     "bad-request",
                     f"server has no directory {request.dir!r}")
-            paths = sorted(root.rglob(request.pattern))
         elif request.paths:
-            paths = [Path(p) for p in request.paths]
+            files = request.paths
         else:
             return list(request.sources)
-        named = []
-        for path in paths:
-            self._check_local(path)
-            try:
-                named.append((str(path),
-                              path.read_text(encoding="utf-8")))
-            except (OSError, UnicodeDecodeError) as exc:
-                raise protocol.ProtocolError(
-                    "bad-request",
-                    f"server cannot read {path}: {exc}") from exc
-        return named
+        try:
+            return read_corpus(files, request.pattern,
+                               check=self._check_local)
+        except CorpusError as exc:
+            raise protocol.ProtocolError("bad-request",
+                                         f"server {exc}") from exc
 
     async def _serve_request(self, conn: _Connection,
                              request: protocol.SuggestRequest) -> bool:

@@ -182,12 +182,7 @@ def stream_shards(
             yield from iter_inline(spec, named, revive)
             return
         service = spec.build_service()
-        if getattr(spec, "mode", "suggest") == "rewrite":
-            yield from service.iter_rewrites(
-                named, verify=spec.verify,
-                rewrite_config=spec.verify_config)
-        else:
-            yield from service.iter_sources(named)
+        yield from spec.serve(service, named)
         if on_stats is not None:
             on_stats(service.cache_stats())
         return

@@ -109,6 +109,13 @@ class WorkerSpec:
         return SuggestionService(parallel, dict(clause_models),
                                  self.config, store=store)
 
+    def serve(self, service: SuggestionService, named_sources):
+        """``(index, result)`` pairs for ``named_sources``, served by
+        ``service`` in this spec's mode inside the calling process."""
+        return service.stream_tagged(named_sources, mode=self.mode,
+                                     verify=self.verify, shards=1,
+                                     rewrite_config=self.verify_config)
+
 
 class _Heartbeat:
     """Background thread putting ``("beat", sid)`` on the queue.
@@ -149,22 +156,11 @@ def _iter_results(service, spec: WorkerSpec, shard, queue, careful: bool):
     which input was in flight if this process dies.
     """
     if not careful:
-        if spec.mode == "rewrite":
-            yield from service.iter_rewrites(
-                shard.items, verify=spec.verify,
-                rewrite_config=spec.verify_config)
-        else:
-            yield from service.iter_sources(shard.items)
+        yield from spec.serve(service, shard.items)
         return
     for local_index, item in enumerate(shard.items):
         queue.put(("claim", shard.sid, shard.indices[local_index]))
-        if spec.mode == "rewrite":
-            results = service.iter_rewrites(
-                [item], verify=spec.verify,
-                rewrite_config=spec.verify_config)
-        else:
-            results = service.iter_sources([item])
-        for _, result in results:
+        for _, result in spec.serve(service, [item]):
             yield local_index, result
 
 

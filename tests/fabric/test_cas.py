@@ -97,6 +97,18 @@ class TestContentAddress:
                              expect_sha256=archive_sha256(packed))
         assert registry.names() == ["advisor"]
 
+    def test_repacking_a_directory_is_byte_identical(self, tmp_path,
+                                                     monkeypatch):
+        """Push-once needs a stable address: packing the same bundle
+        directory again, at another time, must hash the same."""
+        import time
+
+        _bundle().save(tmp_path / "advisor")
+        first = archive_for(tmp_path / "advisor", tmp_path / "one")
+        monkeypatch.setattr(time, "time", lambda: 4e9)
+        second = archive_for(tmp_path / "advisor", tmp_path / "two")
+        assert first.read_bytes() == second.read_bytes()
+
 
 class TestRegistryVerification:
     def test_hash_mismatch_refused_before_load(self, archive):

@@ -97,6 +97,34 @@ class TestForward:
             y = x * 2
         assert not y.requires_grad
 
+    def test_no_grad_overlapping_across_threads_restores_grad(self):
+        """Thread A enters, thread B enters, A exits, B exits: once
+        both blocks are closed, recording must be back on."""
+        import threading
+
+        from repro.nn.tensor import is_grad_enabled
+
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+
+        def block_a():
+            with no_grad():
+                a_in.set()
+                b_in.wait(5)
+            a_out.set()
+
+        def block_b():
+            a_in.wait(5)
+            with no_grad():
+                b_in.set()
+                a_out.wait(5)
+
+        threads = [threading.Thread(target=f) for f in (block_a, block_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert is_grad_enabled()
+
     def test_masked_fill(self):
         x = Tensor(np.ones((2, 2)))
         mask = np.array([[True, False], [False, True]])

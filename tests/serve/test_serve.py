@@ -11,6 +11,7 @@ from repro.serve import (
     SuggestionService,
     parse_many,
     parse_one,
+    read_corpus,
 )
 from repro.suggest import PragmaSuggester
 
@@ -172,7 +173,7 @@ class TestSuggestionService:
         parallel, clauses = _stub_models(parallel=1)
         service = SuggestionService(parallel, clauses,
                                     ServeConfig(workers=1))
-        results = service.suggest_dir(tmp_path)
+        results = service.suggest_sources(read_corpus(tmp_path))
         assert [r.name.endswith(("k1.c", "k2.c")) for r in results] == \
                [True, True]
         assert sum(len(r.suggestions) for r in results) == 3

@@ -20,6 +20,7 @@ from repro.serve import (
     SuggestionStore,
     SuggestServer,
     protocol,
+    read_corpus,
 )
 
 GOOD_SOURCE = """
@@ -282,13 +283,14 @@ class TestServing:
         travel client → server — but only under an opted-in root."""
         (tmp_path / "a.c").write_text(GOOD_SOURCE)
         (tmp_path / "b.c").write_text(OTHER_SOURCE)
-        local = _service().suggest_dir(tmp_path)
+        local = _service().suggest_sources(read_corpus(tmp_path))
         with SuggestServer({"default": _service()},
                            local_roots=(tmp_path,)).start() as srv:
             with connect(srv.address) as client:
                 assert client.capabilities["server_side_paths"] is True
-                batch = client.suggest_server_dir(tmp_path)
-                streamed = list(client.stream_server_dir(tmp_path))
+                request = protocol.SuggestRequest(dir=str(tmp_path))
+                batch = client.batch(request)
+                streamed = list(client.stream(request))
         for remote in (batch, streamed):
             assert [r.to_payload() for r in remote] == \
                 [r.to_payload() for r in local]
@@ -299,7 +301,8 @@ class TestServing:
         with SuggestServer({"default": _service()},
                            local_roots=(tmp_path,)).start() as srv:
             with connect(srv.address) as client:
-                results = client.suggest_server_paths([path])
+                results = client.batch(
+                    protocol.SuggestRequest(paths=(str(path),)))
         assert results[0].name == str(path)
         assert len(results[0].suggestions) == 2
 
@@ -311,7 +314,7 @@ class TestServing:
         with connect(server.address) as client:
             assert client.capabilities["server_side_paths"] is False
             with pytest.raises(ClientError) as exc:
-                client.suggest_server_dir(tmp_path)
+                client.batch(protocol.SuggestRequest(dir=str(tmp_path)))
             assert exc.value.code == "bad-request"
             assert "disabled" in str(exc.value)
 
@@ -324,20 +327,22 @@ class TestServing:
                            local_roots=(corpus,)).start() as srv:
             with connect(srv.address) as client:
                 with pytest.raises(ClientError) as exc:
-                    client.suggest_server_paths([secret])
+                    client.batch(
+                        protocol.SuggestRequest(paths=(str(secret),)))
                 assert exc.value.code == "bad-request"
                 assert "outside" in str(exc.value)
                 # .. escapes are resolved before the check
                 with pytest.raises(ClientError):
-                    client.suggest_server_paths(
-                        [corpus / ".." / "secret.c"])
+                    client.batch(protocol.SuggestRequest(
+                        paths=(str(corpus / ".." / "secret.c"),)))
 
     def test_server_side_missing_dir_refused(self, tmp_path):
         with SuggestServer({"default": _service()},
                            local_roots=(tmp_path,)).start() as srv:
             with connect(srv.address) as client:
                 with pytest.raises(ClientError) as exc:
-                    client.suggest_server_dir(tmp_path / "nope")
+                    client.batch(protocol.SuggestRequest(
+                        dir=str(tmp_path / "nope")))
                 assert exc.value.code == "bad-request"
                 # request-level refusal: connection still serves
                 assert client.suggest_sources([]) == []
@@ -347,8 +352,20 @@ class TestServing:
                            local_roots=(tmp_path,)).start() as srv:
             with connect(srv.address) as client:
                 with pytest.raises(ClientError) as exc:
-                    client.suggest_server_paths([tmp_path / "ghost.c"])
+                    client.batch(protocol.SuggestRequest(
+                        paths=(str(tmp_path / "ghost.c"),)))
                 assert exc.value.code == "bad-request"
+
+    def test_server_side_undecodable_file_refused(self, tmp_path):
+        bad = tmp_path / "bad.c"
+        bad.write_bytes(b"\xff\xfe")
+        with SuggestServer({"default": _service()},
+                           local_roots=(tmp_path,)).start() as srv:
+            with connect(srv.address) as client:
+                with pytest.raises(ClientError) as exc:
+                    client.batch(protocol.SuggestRequest(dir=str(tmp_path)))
+                assert exc.value.code == "bad-request"
+                assert f"cannot read {bad}" in str(exc.value)
 
     def test_abandoned_stream_does_not_poison_the_connection(
             self, server):

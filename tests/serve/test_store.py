@@ -1,6 +1,6 @@
 """Service-level tests of the persistent suggestion store.
 
-The contract: a second ``suggest_dir`` run over an unchanged corpus
+The contract: a second ``suggest_sources`` run over an unchanged corpus
 performs zero model forwards (everything replays from disk), edited
 files are invalidated selectively by content hash, and a different
 model fingerprint never sees another model's cached suggestions.
@@ -22,6 +22,7 @@ from repro.serve import (
     SuggestionService,
     SuggestionStore,
     content_key,
+    read_corpus,
 )
 
 SOURCE_A = """
@@ -109,7 +110,7 @@ class TestWarmCache:
     def test_second_run_does_zero_model_forwards(self, tmp_path, corpus):
         cache = tmp_path / "cache"
         cold = _service(SuggestionStore(cache))
-        cold_results = cold.suggest_dir(corpus)
+        cold_results = cold.suggest_sources(read_corpus(corpus))
         cold_stats = cold.cache_stats()
         assert cold_stats["forwards"]["graphs"] > 0
         assert cold_stats["store"]["suggest_misses"] == 3
@@ -117,7 +118,7 @@ class TestWarmCache:
 
         # a fresh service + store instance: only the disk is shared
         warm = _service(SuggestionStore(cache))
-        warm_results = warm.suggest_dir(corpus)
+        warm_results = warm.suggest_sources(read_corpus(corpus))
         warm_stats = warm.cache_stats()
         assert warm_stats["forwards"] == {"calls": 0, "graphs": 0}
         assert warm_stats["store"]["suggest_hits"] == 3
@@ -137,11 +138,11 @@ class TestWarmCache:
     def test_edited_file_selectively_invalidated(self, tmp_path, corpus):
         cache = tmp_path / "cache"
         cold = _service(SuggestionStore(cache))
-        cold.suggest_dir(corpus)
+        cold.suggest_sources(read_corpus(corpus))
 
         (corpus / "b.c").write_text(SOURCE_B_EDITED)
         warm = _service(SuggestionStore(cache))
-        results = warm.suggest_dir(corpus)
+        results = warm.suggest_sources(read_corpus(corpus))
         stats = warm.cache_stats()
         # a.c and broken.c replay from disk; only b.c recomputes
         assert stats["store"]["suggest_hits"] == 2
@@ -153,11 +154,11 @@ class TestWarmCache:
     def test_rename_stays_warm(self, tmp_path, corpus):
         cache = tmp_path / "cache"
         cold = _service(SuggestionStore(cache))
-        cold.suggest_dir(corpus)
+        cold.suggest_sources(read_corpus(corpus))
 
         (corpus / "b.c").rename(corpus / "renamed.c")
         warm = _service(SuggestionStore(cache))
-        results = warm.suggest_dir(corpus)
+        results = warm.suggest_sources(read_corpus(corpus))
         stats = warm.cache_stats()
         assert stats["forwards"] == {"calls": 0, "graphs": 0}
         assert any(r.name.endswith("renamed.c") and r.suggestions
@@ -168,10 +169,10 @@ class TestWarmCache:
         cache = tmp_path / "cache"
         vocab = _vocab()
         first = _service(SuggestionStore(cache), vocab, name="modelA")
-        first.suggest_dir(corpus)
+        first.suggest_sources(read_corpus(corpus))
 
         second = _service(SuggestionStore(cache), vocab, name="modelB")
-        second.suggest_dir(corpus)
+        second.suggest_sources(read_corpus(corpus))
         stats = second.cache_stats()
         assert stats["store"]["suggest_hits"] == 0
         assert stats["store"]["suggest_misses"] == 3
@@ -183,11 +184,11 @@ class TestWarmCache:
     def test_corrupt_entries_degrade_to_misses(self, tmp_path, corpus):
         cache = tmp_path / "cache"
         cold = _service(SuggestionStore(cache))
-        cold_results = cold.suggest_dir(corpus)
+        cold_results = cold.suggest_sources(read_corpus(corpus))
         for path in (cache / "v1").rglob("*.json"):
             path.write_text("{ torn write")
         warm = _service(SuggestionStore(cache))
-        warm_results = warm.suggest_dir(corpus)
+        warm_results = warm.suggest_sources(read_corpus(corpus))
         assert [[s.render() for s in r.suggestions]
                 for r in warm_results] == \
             [[s.render() for s in r.suggestions] for r in cold_results]
@@ -214,12 +215,12 @@ class TestWarmCache:
                                                          corpus):
         cache = tmp_path / "cache"
         cold = _service(SuggestionStore(cache))
-        cold_results = cold.suggest_dir(corpus)
+        cold_results = cold.suggest_sources(read_corpus(corpus))
         # valid JSON dicts, but not the payload shape this version writes
         for path in (cache / "v1").rglob("*.json"):
             path.write_text('{"schema": "from-the-future"}')
         warm = _service(SuggestionStore(cache))
-        warm_results = warm.suggest_dir(corpus)
+        warm_results = warm.suggest_sources(read_corpus(corpus))
         assert [[s.render() for s in r.suggestions]
                 for r in warm_results] == \
             [[s.render() for s in r.suggestions] for r in cold_results]
@@ -296,12 +297,12 @@ class TestStoreGC:
     def test_gc_to_zero_then_recompute(self, tmp_path, corpus):
         cache = tmp_path / "cache"
         cold = _service(SuggestionStore(cache))
-        cold_results = cold.suggest_dir(corpus)
+        cold_results = cold.suggest_sources(read_corpus(corpus))
         result = SuggestionStore(cache).gc(max_bytes=0)
         assert result["kept_files"] == 0
         # an emptied cache degrades to a cold run, never an error
         warm = _service(SuggestionStore(cache))
-        warm_results = warm.suggest_dir(corpus)
+        warm_results = warm.suggest_sources(read_corpus(corpus))
         assert warm.cache_stats()["store"]["suggest_hits"] == 0
         assert [[s.render() for s in r.suggestions]
                 for r in warm_results] == \

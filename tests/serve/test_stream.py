@@ -23,6 +23,7 @@ from repro.serve import (
     SuggestionStore,
     WorkerSpec,
     merge_results,
+    read_corpus,
 )
 
 GOOD_SOURCE = """
@@ -118,8 +119,9 @@ class TestStreamingEquivalence:
         for name, source in _corpus(4):
             (tmp_path / name).write_text(source)
         service = _service(shards=2)
-        collected = service.suggest_dir(tmp_path)
-        streamed = list(_service(shards=2).stream_dir(tmp_path))
+        collected = service.suggest_sources(read_corpus(tmp_path))
+        streamed = list(
+            _service(shards=2).stream_sources(read_corpus(tmp_path)))
         assert _renders(streamed) == _renders(collected)
 
     def test_config_shards_used_by_default(self):

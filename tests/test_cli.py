@@ -645,6 +645,77 @@ class TestRewriteDirCLI:
         assert "cannot reach server" in capsys.readouterr().err
 
 
+class TestDirRunnerCLI:
+    """The runner shared by `suggest-dir` and `rewrite-dir`: one corpus
+    reader, one note for ignored flags, and byte-identical output on
+    every backend."""
+
+    FLAGS = ["--scale", "0.005", "--epochs", "1", "--dim", "16"]
+
+    @pytest.mark.parametrize("command", ["suggest-dir", "rewrite-dir"])
+    @pytest.mark.parametrize("backend", ["in-process", "server"])
+    def test_undecodable_file_exits_cleanly(self, command, backend,
+                                            tmp_path, capsys):
+        (tmp_path / "ok.c").write_text(TestSuggestDirCLI.SOURCE)
+        bad = tmp_path / "bad.c"
+        bad.write_bytes(b"\xff\xfe")
+        if backend == "server":
+            with TestServerCLI._stub_server().start() as srv:
+                code = main([command, str(tmp_path),
+                             "--server", srv.address])
+        else:
+            code = main([command, str(tmp_path), *self.FLAGS])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {bad}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["suggest-dir", "rewrite-dir"])
+    def test_peers_output_is_byte_identical(self, command, tmp_path,
+                                            capsys):
+        """Acceptance: --peers output matches the in-process path byte
+        for byte, for both subcommands."""
+        from repro.eval.config import ExperimentConfig
+        from repro.eval.context import get_context
+        from repro.serve import ServeConfig, SuggestServer, build_service
+
+        src_dir = tmp_path / "corpus"
+        src_dir.mkdir()
+        (src_dir / "k1.c").write_text(TestSuggestDirCLI.SOURCE)
+        (src_dir / "k2.c").write_text(TestSuggestDirCLI.OTHER)
+        (src_dir / "scan.c").write_text(TestRewriteDirCLI.SCAN)
+        golden = tmp_path / "golden.json"
+        assert main([command, str(src_dir), *self.FLAGS,
+                     "--quiet", "--out", str(golden)]) == 0
+
+        # two peers serving the same (process-cached) trained models
+        ctx = get_context(ExperimentConfig(scale=0.005, seed=7,
+                                           epochs=1, dim=16))
+        servers = [
+            SuggestServer({"default": build_service(ctx, ServeConfig())})
+            .start() for _ in range(2)]
+        try:
+            capsys.readouterr()
+            fabric = tmp_path / "fabric.json"
+            assert main([command, str(src_dir), "--peers",
+                         ",".join(srv.address for srv in servers),
+                         "--bundle", "default", "--workers", "2",
+                         "--quiet", "--out", str(fabric)]) == 0
+            assert fabric.read_bytes() == golden.read_bytes()
+            assert "note: --workers is ignored with --peers" in \
+                capsys.readouterr().err
+        finally:
+            for srv in servers:
+                srv.shutdown()
+
+    def test_in_process_notes_ignored_deadline(self, tmp_path, capsys):
+        (tmp_path / "k.c").write_text(TestSuggestDirCLI.SOURCE)
+        assert main(["suggest-dir", str(tmp_path), *self.FLAGS,
+                     "--quiet", "--deadline", "5"]) == 0
+        assert "note: --deadline is ignored in-process" in \
+            capsys.readouterr().err
+
+
 class TestUmbrellaCLI:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
