@@ -99,7 +99,8 @@ def test_warm_cache(benchmark, context, tmp_path):
     assert result["files"] >= MIN_FILES
     assert result["identical"]
     # the whole point: an unchanged corpus costs zero model forwards
-    assert result["warm_forwards"] == {"calls": 0, "graphs": 0}
+    assert result["warm_forwards"] == {"calls": 0, "graphs": 0,
+                                       "distinct": 0}
     assert result["warm_store"]["suggest_hits"] == result["files"]
     # editing one file invalidates exactly that file
     assert result["edit_recomputed"] == 1

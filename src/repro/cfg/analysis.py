@@ -1,6 +1,7 @@
 """Analyses over control-flow graphs and statement sequences.
 
-Dominators and reachability come straight from networkx over the CFG;
+Dominators and reachability come straight from networkx over the CFG
+(an optional dependency, imported only by those two analyses);
 the liveness helpers answer the question the pragma suggester needs:
 *is a scalar consumed after the loop?* — which decides ``private`` vs
 ``lastprivate`` (a privatized scalar whose final value escapes must be
@@ -8,8 +9,6 @@ the liveness helpers answer the question the pragma suggester needs:
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.cfg.graph import CFG
 from repro.cfront.nodes import (
@@ -28,6 +27,8 @@ def immediate_dominators(cfg: CFG) -> dict[int, int]:
     The entry always maps to itself (newer networkx versions omit the
     trivial self-entry).
     """
+    import networkx as nx
+
     g = cfg.to_networkx()
     idom = dict(nx.immediate_dominators(g, cfg.entry))
     idom.setdefault(cfg.entry, cfg.entry)

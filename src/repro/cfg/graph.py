@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 from repro.cfront.nodes import Node
 
@@ -85,7 +87,10 @@ class CFG:
         return [n.ast for n in self.nodes if n.ast is not None]
 
     def to_networkx(self) -> nx.DiGraph:
-        """Export for dominator/reachability analyses and tests."""
+        """Export for dominator/reachability analyses and tests (needs
+        the optional ``networkx``)."""
+        import networkx as nx
+
         g = nx.DiGraph()
         for node in self.nodes:
             g.add_node(node.nid, role=node.role, kind=node.kind)
@@ -94,6 +99,8 @@ class CFG:
         return g
 
     def reachable_from_entry(self) -> set[int]:
+        import networkx as nx
+
         g = self.to_networkx()
         return {self.entry} | set(nx.descendants(g, self.entry))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.cfront import parse_source, unparse
 from repro.cfront.nodes import LOOP_KINDS, Stmt
-from repro.cfront.unparse import loc_of
 from repro.dataset.sample import LoopSample
 from repro.pragma import loop_label
 from repro.tools.access import collect_accesses
@@ -50,8 +49,9 @@ def _function_loop_samples(
         saved = loop.pragmas
         loop.pragmas = []
         loop_src = unparse(loop)
-        loc = loc_of(loop)
         loop.pragmas = saved
+        # loc_of(loop) without unparsing the loop a second time
+        loc = sum(1 for ln in loop_src.splitlines() if ln.strip())
         summary = collect_accesses(getattr(loop, "body", loop))
         # One walk collects every name; checking each pointer param with
         # its own walk made extraction quadratic in parameter count.

@@ -9,6 +9,7 @@ PyG-style block-diagonal batching, rebuilt on numpy).
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
@@ -87,6 +88,13 @@ class EncodeCache:
     Cached graphs carry ``label == 0``; callers needing labels should
     :func:`dataclasses.replace` the returned graph (the integer arrays
     are shared, the dataclass shell is cheap).
+
+    New encodings are also interned by content: the aug-AST
+    alpha-renames identifiers and buckets literals, so loops differing
+    only in names or constants encode to equal arrays, and they share
+    one :class:`EncodedGraph` object — which the serving path then
+    forwards once.  The intern map holds its graphs weakly, so it never
+    outlives the LRU entries (and in-flight batches) that use them.
     """
 
     def __init__(self, vocab: GraphVocab, representation: str = "aug",
@@ -101,7 +109,9 @@ class EncodeCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
+        self.interned = 0
         self._store: OrderedDict[str, EncodedGraph] = OrderedDict()
+        self._interned = weakref.WeakValueDictionary()   # digest -> graph
 
     @staticmethod
     def key_of(loop_source: str) -> str:
@@ -129,15 +139,51 @@ class EncodeCache:
 
                 loop = parse_loop(loop_source)
             graph = REPRESENTATION_BUILDERS[self.representation](loop)
-            cached = encode_graph(graph, self.vocab, label=0)
+            cached = self._intern(encode_graph(graph, self.vocab, label=0))
             self._store[key] = cached
             while len(self._store) > self.max_entries:
                 self._store.popitem(last=False)
         return cached if label == 0 else replace(cached, label=label)
 
+    def _intern(self, graph: EncodedGraph) -> EncodedGraph:
+        """The live graph with exactly ``graph``'s arrays, else ``graph``.
+
+        Keyed by a digest of every array's shape and bytes; a hit is
+        confirmed array by array, so a digest collision can only cost a
+        missed share, never hand back another loop's graph.
+        """
+        key = _content_digest(graph)
+        twin = self._interned.get(key)
+        if twin is not None and _same_arrays(twin, graph):
+            self.interned += 1
+            return twin
+        if twin is None:
+            self._interned[key] = graph
+        return graph
+
     def stats(self) -> dict:
         return {"entries": len(self._store), "hits": self.hits,
-                "misses": self.misses}
+                "misses": self.misses, "interned": self.interned}
+
+
+def _arrays(graph: EncodedGraph) -> list[np.ndarray]:
+    return [graph.type_ids, graph.text_ids, graph.position_ids,
+            graph.is_leaf, *(graph.edges[rel] for rel in RELATIONS)]
+
+
+def _content_digest(graph: EncodedGraph) -> bytes:
+    h = hashlib.blake2b(digest_size=20)
+    for arr in _arrays(graph):
+        h.update(repr((arr.dtype.str, arr.shape)).encode("ascii"))
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.digest()
+
+
+def _same_arrays(a: EncodedGraph, b: EncodedGraph) -> bool:
+    return all(
+        x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+        for x, y in zip(_arrays(a), _arrays(b))
+    )
 
 
 @dataclass

@@ -318,6 +318,59 @@ def _rel_message(v: Tensor, w_msg: Tensor, rel_idx: int,
     return v._make(out, (v, w_msg), backward)
 
 
+def _inference_attention(k: np.ndarray, q: np.ndarray, v: np.ndarray,
+                         w_att: np.ndarray, w_msg: np.ndarray,
+                         prior: np.ndarray, scale: float, edges: tuple,
+                         n: int, scratch: dict | None = None) -> np.ndarray:
+    """Eq. 2–4 on raw ``(n, h, dk)`` arrays: the aggregated messages
+    ``(n, h·dk)`` of the no-grad forward (``edges`` is the batch's
+    :func:`_edge_struct`, with at least one edge).
+
+    ``scratch`` memoises the flat scatter indices for the other layers
+    of the same forward over the same batch (see :meth:`Graph2Par.encode`).
+    """
+    _, h, dk = k.shape
+    d = h * dk
+    spans, all_src, all_dst, dst_sort = edges
+    k_all = np.take(k, all_src, axis=0)               # (E, h, dk)
+    q_all = np.take(q, all_dst, axis=0)
+    v_all = np.take(v, all_src, axis=0)
+    logits = np.empty((len(all_dst), h), dtype=k_all.dtype)
+    msgs = np.empty((len(all_dst), h, dk), dtype=k_all.dtype)
+    for rel_idx, lo, hi in spans:
+        k_t = k_all[lo:hi].swapaxes(0, 1)             # (h, E_r, dk)
+        q_t = q_all[lo:hi].swapaxes(0, 1)
+        att = ((k_t @ w_att[rel_idx]) * q_t).sum(axis=-1)
+        att = att.swapaxes(0, 1)
+        att = att * prior[rel_idx] * scale
+        logits[lo:hi] = att
+        msgs[lo:hi] = (v_all[lo:hi].swapaxes(0, 1)
+                       @ w_msg[rel_idx]).swapaxes(0, 1)
+
+    # Softmax over each target's in-neighbourhood with cached sort.
+    order, starts, uniq = dst_sort
+    seg_max = np.full((n, h), -np.inf, dtype=logits.dtype)
+    seg_max[uniq] = np.maximum.reduceat(np.take(logits, order, axis=0),
+                                        starts, axis=0)
+    exp = np.exp(logits - np.take(seg_max, all_dst, axis=0))
+    # The two scatters are scatter_add_rows' flat bincount, written
+    # straight into fresh arrays (bincount sums from +0.0, so this
+    # equals adding into zeros bit for bit).  Their flat (dst, head)
+    # and (dst, head, dk) indices are pure structure.
+    scratch = {} if scratch is None else scratch
+    key = ("flat", h, dk)
+    if key not in scratch:
+        cell = (all_dst[:, None] * h + np.arange(h)).ravel()
+        scratch[key] = (cell, (cell[:, None] * dk + np.arange(dk)).ravel())
+    cell, cell_dk = scratch[key]
+    denom = np.bincount(cell, weights=exp.ravel(), minlength=n * h
+                        ).reshape(n, h).astype(logits.dtype, copy=False)
+    p = exp / np.maximum(np.take(denom, all_dst, axis=0), 1e-12)
+    weighted = msgs * p.reshape(-1, h, 1)
+    return np.bincount(cell_dk, weights=weighted.ravel(), minlength=n * d
+                       ).reshape(n, d).astype(weighted.dtype, copy=False)
+
+
 class HGTLayer(Module):
     """One HGT layer over a :class:`GraphBatch`."""
 
@@ -356,9 +409,10 @@ class HGTLayer(Module):
         self.norm = LayerNorm(dim)
         self.dropout = Dropout(dropout, rng=np.random.default_rng(rng.integers(2**31)))
 
-    def forward(self, x: Tensor, batch: GraphBatch) -> Tensor:
+    def forward(self, x: Tensor, batch: GraphBatch,
+                scratch: dict | None = None) -> Tensor:
         if not is_grad_enabled():
-            return self._forward_inference(x, batch)
+            return self._forward_inference(x, batch, scratch)
         n, d = x.shape
         h, dk = self.heads, self.d_head
         sort = None
@@ -451,7 +505,8 @@ class HGTLayer(Module):
                                     [(lo, hi) for _, lo, hi in spans],
                                     all_dst, dst_sort, n)
 
-    def _forward_inference(self, x: Tensor, batch: GraphBatch) -> Tensor:
+    def _forward_inference(self, x: Tensor, batch: GraphBatch,
+                           scratch: dict | None = None) -> Tensor:
         """No-grad forward on raw arrays with batch-structure reuse.
 
         Mathematically the same layer; purely structural work (type
@@ -459,7 +514,7 @@ class HGTLayer(Module):
         batch, so the second layer — and every further model that
         reuses a collated batch — skips it entirely.
         """
-        n, d = x.shape
+        n = x.shape[0]
         h, dk = self.heads, self.d_head
         caches = batch.struct_cache
         sort = caches.get("type_sort")
@@ -470,39 +525,12 @@ class HGTLayer(Module):
         q = self.q_linear(x, batch.type_ids, sort=sort).data.reshape(n, h, dk)
         v = self.v_linear(x, batch.type_ids, sort=sort).data.reshape(n, h, dk)
 
-        spans, all_src, all_dst, dst_sort = _edge_struct(batch)
-        if not spans:
+        edges = _edge_struct(batch)
+        if not edges[0]:
             return x
-
-        k_all = k[all_src]                                # (E, h, dk)
-        q_all = q[all_dst]
-        v_all = v[all_src]
-        w_att, w_msg = self.w_att.data, self.w_msg.data
-        prior = self.rel_prior.data
-        logits = np.empty((len(all_dst), h), dtype=k_all.dtype)
-        msgs = np.empty((len(all_dst), h, dk), dtype=k_all.dtype)
-        for rel_idx, lo, hi in spans:
-            k_t = k_all[lo:hi].swapaxes(0, 1)             # (h, E_r, dk)
-            q_t = q_all[lo:hi].swapaxes(0, 1)
-            att = ((k_t @ w_att[rel_idx]) * q_t).sum(axis=-1)
-            att = att.swapaxes(0, 1)
-            att = att * prior[rel_idx] * self.att_scale
-            logits[lo:hi] = att
-            msgs[lo:hi] = (v_all[lo:hi].swapaxes(0, 1)
-                           @ w_msg[rel_idx]).swapaxes(0, 1)
-
-        # Softmax over each target's in-neighbourhood with cached sort.
-        order, starts, uniq = dst_sort
-        seg_max = np.full((n, h), -np.inf, dtype=logits.dtype)
-        seg_max[uniq] = np.maximum.reduceat(logits[order], starts, axis=0)
-        exp = np.exp(logits - seg_max[all_dst])
-        denom = np.zeros((n, h), dtype=logits.dtype)
-        scatter_add_rows(denom, all_dst, exp)
-        p = exp / np.maximum(denom[all_dst], 1e-12)
-        weighted = msgs * p.reshape(-1, h, 1)
-        agg = np.zeros((n, d), dtype=weighted.dtype)
-        scatter_add_rows(agg, all_dst, weighted.reshape(-1, d))
-
+        agg = _inference_attention(k, q, v, self.w_att.data, self.w_msg.data,
+                                   self.rel_prior.data, self.att_scale,
+                                   edges, n, scratch)
         out = self.a_linear(Tensor(_gelu_array(agg)), batch.type_ids,
                             sort=sort)
         return self.norm(out + x)
@@ -569,8 +597,12 @@ class Graph2Par(Module):
     def encode(self, batch: GraphBatch) -> Tensor:
         """Per-graph embeddings ``(B, dim)``."""
         x = self.node_embeddings(batch)
+        # Structure the layers' no-grad kernels share within this one
+        # forward.  It holds E×d indices, so it must not outlive the
+        # call (collated batches stay cached for the whole workload).
+        scratch: dict = {}
         for layer in self.layers:
-            x = layer(x, batch)
+            x = layer(x, batch, scratch=scratch)
         return segment_mean(x, batch.graph_ids, batch.num_graphs)
 
     def forward(self, batch: GraphBatch) -> Tensor:

@@ -4,12 +4,15 @@ Per-loop serving costs ``L×(C+1)`` single-graph forward passes for L
 loops and C clause families, each preceded by its own parse + graph
 build + encode.  :class:`SuggestionService` restructures that into
 
-1. a (optionally multiprocess) parse stage over whole files,
+1. a (optionally multiprocess) parse stage over whole files, each
+   distinct file content once,
 2. one encode per distinct loop source per vocabulary — models that
    agree on (representation, vocab content) share an
-   :class:`~repro.graphs.encode.EncodeCache`,
+   :class:`~repro.graphs.encode.EncodeCache`, which interns equal
+   encodings to one graph,
 3. one block-diagonal ``collate`` + forward per model for the whole
-   workload (chunked at ``batch_size`` graphs for memory),
+   workload over each distinct graph (chunked at ``batch_size``
+   graphs for memory),
 4. a fan-out back to per-file :class:`FileSuggestions`.
 
 Corpora additionally shard end-to-end: ``stream_tagged`` — the one
@@ -40,6 +43,8 @@ import inspect
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from repro.serve.parse import ParsedFile, parse_many
 from repro.serve.store import SuggestionStore, content_key, open_store
@@ -118,6 +123,41 @@ def revive_for(mode: str):
     return FileSuggestions.from_payload
 
 
+def _distinct_contents(files) -> tuple[list[tuple[str, str]], list[list]]:
+    """Fan-in of ``(key, name, source)`` triples by file content.
+
+    Returns one ``(name, source)`` per distinct source, in first-seen
+    order, and for each the ``(key, name)`` of every file carrying it —
+    the subscribers :func:`_fan_out` hands its result to.
+    """
+    distinct: list[tuple[str, str]] = []
+    subscribers: list[list[tuple[object, str]]] = []
+    first_seen: dict[str, int] = {}
+    for key, name, source in files:
+        di = first_seen.setdefault(source, len(distinct))
+        if di == len(distinct):
+            distinct.append((name, source))
+            subscribers.append([])
+        subscribers[di].append((key, name))
+    return distinct, subscribers
+
+
+def _fan_out(results, subscribers: list[list]) -> Iterator[tuple]:
+    """``(key, result)`` for every subscriber of each ``(distinct_index,
+    result)`` in ``results``, re-labelled with the subscriber's name
+    (result payloads carry no name, so the copy is otherwise exact).
+    Closing the fan-out closes ``results`` (reaping shard workers)."""
+    try:
+        for di, result in results:
+            for key, name in subscribers[di]:
+                yield key, (result if result.name == name
+                            else replace(result, name=name))
+    finally:
+        close = getattr(results, "close", None)
+        if close is not None:
+            close()
+
+
 def _model_fingerprint(model, require: bool = False) -> str:
     """Identity string for the persistent store's model key.
 
@@ -148,6 +188,7 @@ class _CountingModel:
     def predict_samples(self, samples):
         self.forwards["calls"] += 1
         self.forwards["graphs"] += len(samples)
+        self.forwards["distinct"] += len(samples)
         return self.model.predict_samples(samples)
 
 
@@ -156,7 +197,12 @@ class _BatchedGraphModel:
     batched forward, replacing the model's own parse/encode-per-call
     path on the serving hot loop.  ``collate_cache`` is shared across
     all models of one service, so the clause models (which see the
-    same predicted-parallel subset) reuse one collated batch."""
+    same predicted-parallel subset) reuse one collated batch.
+
+    Loops whose encodings the cache interned to one graph object are
+    forwarded once (first-seen order) and their predictions fanned back
+    out in input order; ``forwards["graphs"]`` counts the graphs asked
+    for, ``forwards["distinct"]`` the graphs actually forwarded."""
 
     def __init__(self, model, cache, batch_size: int,
                  collate_cache: dict, forwards: dict) -> None:
@@ -178,15 +224,19 @@ class _BatchedGraphModel:
         graphs = [
             self.cache.encode_loop(s.source, loop=s.ast()) for s in samples
         ]
+        slot: dict[int, int] = {}
+        fan_out = [slot.setdefault(id(g), len(slot)) for g in graphs]
+        distinct = list({id(g): g for g in graphs}.values())
         self.forwards["calls"] += 1
         self.forwards["graphs"] += len(graphs)
-        if self.collate_cache is not None:
-            return self.model.predict_encoded(
-                graphs, batch_size=self.batch_size,
-                collate_cache=self.collate_cache,
-            )
-        return self.model.predict_encoded(graphs,
-                                          batch_size=self.batch_size)
+        self.forwards["distinct"] += len(distinct)
+        shared = ({} if self.collate_cache is None
+                  else {"collate_cache": self.collate_cache})
+        preds = self.model.predict_encoded(
+            distinct, batch_size=self.batch_size, **shared)
+        if len(distinct) == len(graphs):
+            return preds
+        return np.asarray(preds)[np.asarray(fan_out, dtype=np.int64)]
 
 
 class SuggestionService:
@@ -224,7 +274,7 @@ class SuggestionService:
                              else str(bundle_path))
         self._caches: dict[tuple, object] = {}
         self._collate_cache: dict = {}
-        self._forwards = {"calls": 0, "graphs": 0}
+        self._forwards = {"calls": 0, "graphs": 0, "distinct": 0}
         self._coalesce = {"rounds": 0, "requests": 0, "deduped_files": 0}
         self._verify_stats = {"simulations": 0, "compiled_runs": 0,
                               "interpreted_runs": 0,
@@ -348,27 +398,17 @@ class SuggestionService:
         byte-identical to serving each workload alone: batching only
         changes how much work is shared, never a file's own numbers.
         """
-        distinct: list[tuple[str, str]] = []
-        first_seen: dict[str, int] = {}
-        subscribers: dict[int, list[tuple[object, int, str]]] = {}
-        total_files = 0
-        for tag, named in workloads:
-            for i, (name, source) in enumerate(named):
-                total_files += 1
-                di = first_seen.get(source)
-                if di is None:
-                    di = len(distinct)
-                    first_seen[source] = di
-                    distinct.append((name, source))
-                subscribers.setdefault(di, []).append((tag, i, name))
+        distinct, subscribers = _distinct_contents(
+            ((tag, i), name, source)
+            for tag, named in workloads
+            for i, (name, source) in enumerate(named))
         self._coalesce["rounds"] += 1
         self._coalesce["requests"] += len(workloads)
-        self._coalesce["deduped_files"] += total_files - len(distinct)
-        for di, fs in self.iter_sources(distinct):
-            for tag, i, name in subscribers[di]:
-                out = fs if fs.name == name else FileSuggestions(
-                    name=name, suggestions=fs.suggestions, error=fs.error)
-                yield tag, i, out
+        self._coalesce["deduped_files"] += (
+            sum(map(len, subscribers)) - len(distinct))
+        for (tag, i), fs in _fan_out(self.iter_sources(distinct),
+                                     subscribers):
+            yield tag, i, fs
 
     def stream_tagged(
         self, named_sources: list[tuple[str, str]], *,
@@ -396,30 +436,39 @@ class SuggestionService:
         ``shards=1``.  The network server forwards the index tags to
         its clients verbatim.  Results are byte-identical across shard
         counts, orderings, and the daemon path.
+
+        Files with identical content are served once, before the shard
+        split: mirrored copies are parsed, forwarded and verified one
+        time, and the result is re-labelled with each copy's name.
         """
         from repro.serve.plan import resolve_shards
         from repro.serve.stream import stream_shards
 
-        named = list(named_sources)
+        distinct, subscribers = _distinct_contents(
+            (i, name, source)
+            for i, (name, source) in enumerate(named_sources))
         n_shards = resolve_shards(
-            self.config.shards if shards is None else shards, named)
-        if n_shards > 1 and len(named) > 1:
-            return stream_shards(
+            self.config.shards if shards is None else shards, distinct)
+        if n_shards > 1 and len(distinct) > 1:
+            results = stream_shards(
                 self._worker_spec(mode=mode, verify=verify,
                                   verify_config=rewrite_config),
-                named, n_shards,
+                distinct, n_shards,
                 on_stats=self._absorb_worker_stats,
                 revive=revive_for(mode),
             )
-        if mode != "rewrite":
-            return self.iter_sources(named)
-        from repro.rewrite import rewrite_file
+        elif mode != "rewrite":
+            results = self.iter_sources(distinct)
+        else:
+            from repro.rewrite import rewrite_file
 
-        return ((i, rewrite_file(named[i][0], named[i][1], fs,
-                                 verify=verify, config=rewrite_config,
-                                 store=self.store,
-                                 stats=self._verify_stats))
-                for i, fs in self.iter_sources(named))
+            results = ((i, rewrite_file(distinct[i][0], distinct[i][1], fs,
+                                        verify=verify,
+                                        config=rewrite_config,
+                                        store=self.store,
+                                        stats=self._verify_stats))
+                       for i, fs in self.iter_sources(distinct))
+        return _fan_out(results, subscribers)
 
     def stream_sources(
         self, named_sources: list[tuple[str, str]], *,
@@ -502,8 +551,8 @@ class SuggestionService:
         so forward counts, verifier counters and store hit rates stay
         meaningful when the pipeline ran in child processes."""
         forwards = stats.get("forwards") or {}
-        self._forwards["calls"] += int(forwards.get("calls", 0))
-        self._forwards["graphs"] += int(forwards.get("graphs", 0))
+        for key in self._forwards:
+            self._forwards[key] += int(forwards.get(key, 0))
         verify_stats = stats.get("verify") or {}
         for key in self._verify_stats:
             value = verify_stats.get(key, 0)

@@ -75,6 +75,29 @@ class TestExtraction:
         assert all(s.file_id == 7 for s in samples)
 
 
+    def test_loc_equals_loc_of_on_example_corpus(self):
+        """``loc`` is counted from the one unparse of the loop; it must
+        equal ``loc_of`` (a second unparse, pragmas cleared)."""
+        from pathlib import Path
+
+        from repro.cfront.unparse import loc_of
+        from repro.dataset.extract import _outermost_loops
+
+        corpus = Path(__file__).resolve().parents[2] / "examples" / "corpus"
+        paths = sorted(corpus.glob("*.c"))
+        assert paths
+        for path in paths:
+            source = path.read_text(encoding="utf-8")
+            samples = extract_loops_from_source(source)
+            loops = [loop for fn in parse_source(source).functions()
+                     if fn.body is not None
+                     for loop in _outermost_loops(fn.body)]
+            assert len(loops) == len(samples) > 0
+            for loop, sample in zip(loops, samples):
+                loop.pragmas = []
+                assert sample.loc == loc_of(loop) > 0
+
+
 class TestSyntheticGenerator:
     def test_programs_compile_and_label(self):
         gen = SyntheticGenerator(seed=3)

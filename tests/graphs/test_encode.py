@@ -188,7 +188,8 @@ class TestEncodeCache:
         a = cache.encode_loop(LOOPS[0])
         b = cache.encode_loop(LOOPS[0])
         assert a is b
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
+        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1,
+                                 "interned": 0}
 
     def test_matches_uncached_encoding(self):
         gv = build_graph_vocab(graphs())
@@ -221,6 +222,91 @@ class TestEncodeCache:
     def test_rejects_unknown_representation(self):
         with pytest.raises(ValueError):
             EncodeCache(GraphVocab(), representation="nope")
+
+
+class TestInterning:
+    """Loops whose aug-ASTs encode to equal arrays share one graph."""
+
+    RENAMED = ("for (i = 0; i < n; i++) a[i] = b[i];",
+               "for (j = 0; j < m; j++) x[j] = y[j];")
+    SMALL_LITERAL = "for (i = 0; i < n; i++) a[i] = b[i] + 1;"
+    LARGE_LITERAL = "for (i = 0; i < n; i++) a[i] = b[i] + 500;"
+    CALL = "for (i = 0; i < n; i++) a[i] = b(i);"
+
+    def _cache(self, **kwargs) -> EncodeCache:
+        # every literal bucket and name kind in the vocab, so none of
+        # them collapses into UNK
+        sources = [*self.RENAMED, self.SMALL_LITERAL, self.LARGE_LITERAL,
+                   self.CALL]
+        vocab = build_graph_vocab(
+            [build_aug_ast(parse_loop(src)) for src in sources])
+        return EncodeCache(vocab, **kwargs)
+
+    def test_alpha_renamed_loops_share_one_graph(self):
+        cache = self._cache()
+        a = cache.encode_loop(self.RENAMED[0])
+        b = cache.encode_loop(self.RENAMED[1])
+        assert a is b
+        assert cache.stats() == {"entries": 2, "hits": 0, "misses": 2,
+                                 "interned": 1}
+
+    def test_shared_graph_is_each_loops_own_encoding(self):
+        cache = self._cache()
+        cache.encode_loop(self.RENAMED[0])
+        shared = cache.encode_loop(self.RENAMED[1])
+        direct = encode_graph(build_aug_ast(parse_loop(self.RENAMED[1])),
+                              cache.vocab)
+        assert (shared.type_ids == direct.type_ids).all()
+        assert (shared.text_ids == direct.text_ids).all()
+        assert (shared.position_ids == direct.position_ids).all()
+        for rel in RELATIONS:
+            assert (shared.edges[rel] == direct.edges[rel]).all()
+
+    def test_literal_bucket_is_not_shared(self):
+        cache = self._cache()
+        small = cache.encode_loop(self.SMALL_LITERAL)
+        large = cache.encode_loop(self.LARGE_LITERAL)
+        assert small is not large
+        assert (small.text_ids != large.text_ids).any()
+        assert cache.interned == 0
+
+    def test_call_is_not_shared_with_variable(self):
+        cache = self._cache()
+        variable = cache.encode_loop(self.RENAMED[0])
+        call = cache.encode_loop(self.CALL)
+        assert call is not variable
+        assert cache.interned == 0
+
+    def test_digest_collision_never_shares(self, monkeypatch):
+        """Equal digests alone never hand back another loop's graph."""
+        from repro.graphs import encode as encode_mod
+
+        monkeypatch.setattr(encode_mod, "_content_digest",
+                            lambda graph: b"same")
+        cache = self._cache()
+        first = cache.encode_loop(self.SMALL_LITERAL)
+        second = cache.encode_loop(self.LARGE_LITERAL)
+        assert second is not first
+        assert (second.text_ids != first.text_ids).any()
+        assert cache.interned == 0
+
+    def test_intern_map_drops_evicted_graphs(self):
+        import gc
+        import weakref
+
+        cache = self._cache(max_entries=1)
+        shared = cache.encode_loop(self.RENAMED[0])
+        assert cache.encode_loop(self.RENAMED[1]) is shared
+        gone = weakref.ref(shared)
+        del shared
+        other = cache.encode_loop(self.CALL)       # evicts both renames
+        gc.collect()
+        assert gone() is None
+        assert list(cache._interned.values()) == [other]
+        del other
+        cache._store.clear()
+        gc.collect()
+        assert len(cache._interned) == 0
 
 
 class TestCollateCache:

@@ -120,7 +120,8 @@ class TestWarmCache:
         warm = _service(SuggestionStore(cache))
         warm_results = warm.suggest_sources(read_corpus(corpus))
         warm_stats = warm.cache_stats()
-        assert warm_stats["forwards"] == {"calls": 0, "graphs": 0}
+        assert warm_stats["forwards"] == {"calls": 0, "graphs": 0,
+                                          "distinct": 0}
         assert warm_stats["store"]["suggest_hits"] == 3
         assert warm_stats["store"]["suggest_misses"] == 0
         # including the parse stage: nothing was re-parsed
@@ -160,7 +161,8 @@ class TestWarmCache:
         warm = _service(SuggestionStore(cache))
         results = warm.suggest_sources(read_corpus(corpus))
         stats = warm.cache_stats()
-        assert stats["forwards"] == {"calls": 0, "graphs": 0}
+        assert stats["forwards"] == {"calls": 0, "graphs": 0,
+                                     "distinct": 0}
         assert any(r.name.endswith("renamed.c") and r.suggestions
                    for r in results)
 
@@ -197,7 +199,8 @@ class TestWarmCache:
         service = _service(None)
         stats = service.cache_stats()
         assert "store" not in stats
-        assert stats["forwards"] == {"calls": 0, "graphs": 0}
+        assert stats["forwards"] == {"calls": 0, "graphs": 0,
+                                     "distinct": 0}
 
     def test_store_requires_model_fingerprints(self, tmp_path):
         class NoFingerprint:

@@ -144,18 +144,22 @@ class TestStreamingEquivalence:
 class TestSharedStore:
     def test_shard_workers_commit_to_shared_store(self, tmp_path):
         named = _corpus(6)
+        # mirrored files are served once, before the shard split
+        n_distinct = len({source for _, source in named})
+        assert n_distinct < len(named)
         cold = _service(store=SuggestionStore(tmp_path / "cache"))
         cold_results = list(cold.stream_sources(named, shards=3))
         stats = cold.cache_stats()
         # parent absorbed the workers' counters
-        assert stats["store"]["suggest_misses"] == len(named)
+        assert stats["store"]["suggest_misses"] == n_distinct
         assert stats["forwards"]["graphs"] > 0
 
         warm = _service(store=SuggestionStore(tmp_path / "cache"))
         warm_results = list(warm.stream_sources(named, shards=3))
         warm_stats = warm.cache_stats()
-        assert warm_stats["forwards"] == {"calls": 0, "graphs": 0}
-        assert warm_stats["store"]["suggest_hits"] == len(named)
+        assert warm_stats["forwards"] == {"calls": 0, "graphs": 0,
+                                          "distinct": 0}
+        assert warm_stats["store"]["suggest_hits"] == n_distinct
         assert _renders(warm_results) == _renders(cold_results)
 
     def test_single_shard_warm_after_sharded_cold(self, tmp_path):
@@ -164,7 +168,8 @@ class TestSharedStore:
         cold_results = list(cold.stream_sources(named, shards=2))
         warm = _service(store=SuggestionStore(tmp_path / "cache"))
         warm_results = warm.suggest_sources(named)
-        assert warm.cache_stats()["forwards"] == {"calls": 0, "graphs": 0}
+        assert warm.cache_stats()["forwards"] == {"calls": 0, "graphs": 0,
+                                                  "distinct": 0}
         assert _renders(warm_results) == _renders(cold_results)
 
 
