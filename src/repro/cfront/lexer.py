@@ -36,15 +36,17 @@ _EXPONENT = frozenset("eE")
 _NUM_SUFFIX = frozenset("uUlLfF")
 _FLOAT_SUFFIX = frozenset("fF")
 
-#: Master pattern for the fast scanning loop.  Alternatives mirror the
-#: per-character scanners exactly; anything they cannot settle (pre-
-#: processor lines, malformed literals, unknown characters) falls back
-#: to the original routines so errors and edge semantics are unchanged.
+#: Master pattern of the fast scanning loop: one match per token.  It
+#: first consumes any whitespace and terminated comments before the
+#: token, then the token itself; the alternatives mirror the
+#: per-character scanners exactly.  What they cannot settle leaves the
+#: token group unmatched and falls back to the original routines, so
+#: errors and edge semantics are unchanged: ``#`` lines (``#`` is no
+#: punctuator here), an unterminated ``/*`` (``/`` never matches before
+#: ``*``), malformed literals and unknown characters.
 _MASTER_RE = re.compile(
-    r"(?P<ws>[ \t\r\n]+)"
-    r"|(?P<lcomment>//[^\n]*)"
-    r"|(?P<bcomment>/\*.*?\*/)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+    r"(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<num>"
     r"0[xX][0-9a-fA-F]*[uUlLfF]*"
     r"|(?:[0-9]+(?:\.(?!\.)[0-9]*)?|\.[0-9]+)"
@@ -53,9 +55,10 @@ _MASTER_RE = re.compile(
     r'|(?P<string>"(?:\\[^\n]|[^"\\\n])*")'
     r"|(?P<char>'(?:\\[^\n]|[^'\\\n])')"
     r"|(?P<punct>"
-    + "|".join(re.escape(p)
-               for p in sorted(PUNCTUATORS, key=len, reverse=True))
-    + r")",
+    + "|".join(r"/(?!\*)" if p == "/" else re.escape(p)
+               for p in sorted(PUNCTUATORS, key=len, reverse=True)
+               if p != "#")
+    + r"))?",
     re.DOTALL,
 )
 
@@ -119,51 +122,64 @@ class Lexer:
     def lex(self) -> LexResult:
         """Scan the whole input and return the token stream.
 
-        The hot loop matches one compiled master pattern per token
-        (~5× faster than per-character scanning, which dominated file
-        parsing); preprocessor lines and malformed input fall back to
-        the per-character scanners so error reporting is unchanged.
+        The hot loop makes one match of a compiled master pattern per
+        token, whitespace and comments before it included (~5× faster
+        than per-character scanning, which dominated file parsing);
+        line and column advance by counting newlines over the skipped
+        span only, since no token spans a newline.  Preprocessor lines
+        and malformed input fall back to the per-character scanners so
+        error reporting is unchanged.
         """
         src = self.source
         n = len(src)
         match = _MASTER_RE.match
+        count = src.count
+        rfind = src.rfind
         tokens = self.tokens
-        while self.pos < n:
-            m = match(src, self.pos)
-            if m is None or src[self.pos] == "#" or (
-                m.lastgroup != "bcomment" and src.startswith("/*", self.pos)
-            ):
-                # '#' lines, broken literals/comments, unknown chars
-                self._lex_one_slow()
-                continue
-            text = m.group()
+        append = tokens.append
+        pos, line, col = self.pos, self.line, self.col
+        while pos < n:
+            m = match(src, pos)
             kind = m.lastgroup
-            line, col = self.line, self.col
-            newlines = text.count("\n")
-            if newlines:
-                self.line += newlines
-                self.col = len(text) - text.rfind("\n")
-            else:
-                self.col += len(text)
-            self.pos = m.end()
+            text = m[kind] if kind else ""
+            end = m.end()
+            start = end - len(text)
+            if start != pos:
+                newlines = count("\n", pos, start)
+                if newlines:
+                    line += newlines
+                    col = start - rfind("\n", pos, start)
+                else:
+                    col += start - pos
+            if kind is None:
+                if start == n:
+                    pos = n
+                    break
+                # '#' lines, broken literals/comments, unknown chars
+                self.pos, self.line, self.col = start, line, col
+                self._lex_one_slow()
+                pos, line, col = self.pos, self.line, self.col
+                continue
             if kind == "ident":
-                tokens.append(Token(
+                append(Token(
                     TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT,
                     text, line, col,
                 ))
             elif kind == "punct":
-                tokens.append(Token(TokenKind.PUNCT, text, line, col))
+                append(Token(TokenKind.PUNCT, text, line, col))
             elif kind == "num":
-                tokens.append(Token(
+                append(Token(
                     TokenKind.FLOAT_CONST if _num_is_float(text)
                     else TokenKind.INT_CONST,
                     text, line, col,
                 ))
             elif kind == "string":
-                tokens.append(Token(TokenKind.STRING, text, line, col))
-            elif kind == "char":
-                tokens.append(Token(TokenKind.CHAR_CONST, text, line, col))
-            # ws / lcomment / bcomment produce no token
+                append(Token(TokenKind.STRING, text, line, col))
+            else:
+                append(Token(TokenKind.CHAR_CONST, text, line, col))
+            pos = end
+            col += len(text)
+        self.pos, self.line, self.col = pos, line, col
         self._emit(TokenKind.EOF, "")
         self._substitute_defines()
         for i, tok in enumerate(self.tokens):

@@ -133,7 +133,7 @@ class Parser:
 
     def _expect_punct(self, text: str) -> Token:
         tok = self._peek()
-        if not tok.is_punct(text):
+        if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
         return self._next()
 
@@ -144,7 +144,7 @@ class Parser:
         return self._next()
 
     def _accept_punct(self, text: str) -> bool:
-        if self._peek().is_punct(text):
+        if self._peek().text == text:
             self._next()
             return True
         return False
@@ -165,7 +165,7 @@ class Parser:
             # ``T * x`` is a declaration only if T is a known typedef and the
             # following token shape matches a declarator.
             nxt = self._peek(offset + 1)
-            return nxt.kind is TokenKind.IDENT or nxt.is_punct("*")
+            return nxt.kind is TokenKind.IDENT or nxt.text == "*"
         return False
 
     # -- entry points ------------------------------------------------------------
@@ -199,7 +199,7 @@ class Parser:
         first_type, first_name, first_tok = self._parse_declarator(base, quals)
 
         # Function definition or prototype?
-        if self._peek().is_punct("(") and first_name:
+        if self._peek().text == "(" and first_name:
             return tag_decls + [self._parse_function(first_type, first_name)]
 
         decls: list[Decl] = tag_decls
@@ -226,10 +226,10 @@ class Parser:
         return VarDecl(name=name, var_type=var_type, init=init, tok_i=tok_i)
 
     def _parse_initializer(self) -> Expr:
-        if self._peek().is_punct("{"):
+        if self._peek().text == "{":
             self._next()
             items: list[Expr] = []
-            while not self._peek().is_punct("}"):
+            while self._peek().text != "}":
                 items.append(self._parse_initializer())
                 if not self._accept_punct(","):
                     break
@@ -241,12 +241,12 @@ class Parser:
         self._expect_punct("(")
         params: list[ParmDecl] = []
         variadic = False
-        if not self._peek().is_punct(")"):
-            if self._peek().is_keyword("void") and self._peek(1).is_punct(")"):
+        if self._peek().text != ")":
+            if self._peek().is_keyword("void") and self._peek(1).text == ")":
                 self._next()
             else:
                 while True:
-                    if self._peek().is_punct("..."):
+                    if self._peek().text == "...":
                         self._next()
                         variadic = True
                         break
@@ -255,7 +255,7 @@ class Parser:
                         break
         self._expect_punct(")")
         body: CompoundStmt | None = None
-        if self._peek().is_punct("{"):
+        if self._peek().text == "{":
             body = self._parse_compound()
         else:
             self._expect_punct(";")
@@ -313,7 +313,7 @@ class Parser:
             self.struct_tags.add(tag)
         fields: list[FieldDecl] = []
         if self._accept_punct("{"):
-            while not self._peek().is_punct("}"):
+            while self._peek().text != "}":
                 base, quals = self._parse_decl_specifiers()
                 while True:
                     var_type, name, _ = self._parse_declarator(base, quals)
@@ -336,7 +336,7 @@ class Parser:
             tag = self._next().text
         names: list[str] = []
         if self._accept_punct("{"):
-            while not self._peek().is_punct("}"):
+            while self._peek().text != "}":
                 name = self._expect_ident().text
                 names.append(name)
                 self.enum_constants.add(name)
@@ -354,7 +354,7 @@ class Parser:
     ) -> tuple[TypeSpec, str, int]:
         """Parse ``* ... name [dims]`` and return (type, name, token index)."""
         pointers = 0
-        while self._peek().is_punct("*"):
+        while self._peek().text == "*":
             self._next()
             pointers += 1
             while self._peek().is_keyword("const", "volatile", "restrict"):
@@ -370,9 +370,9 @@ class Parser:
                 f"expected declarator name, found {tok.text!r}", tok.line, tok.col
             )
         dims: list[Expr | None] = []
-        while self._peek().is_punct("["):
+        while self._peek().text == "[":
             self._next()
-            if self._peek().is_punct("]"):
+            if self._peek().text == "]":
                 dims.append(None)
             else:
                 dims.append(self._parse_assignment_expr())
@@ -396,7 +396,7 @@ class Parser:
 
     def _parse_statement_inner(self) -> Stmt:
         tok = self._peek()
-        if tok.is_punct("{"):
+        if tok.text == "{":
             return self._parse_compound()
         if tok.is_keyword("if"):
             return self._parse_if()
@@ -413,20 +413,20 @@ class Parser:
             value = self._parse_conditional_expr()
             self._expect_punct(":")
             inner = None
-            if not self._peek().is_punct("}"):
+            if self._peek().text != "}":
                 inner = self._parse_statement()
             return CaseStmt(value=value, stmt=inner)
         if tok.is_keyword("default"):
             self._next()
             self._expect_punct(":")
             inner = None
-            if not self._peek().is_punct("}"):
+            if self._peek().text != "}":
                 inner = self._parse_statement()
             return DefaultStmt(stmt=inner)
         if tok.is_keyword("return"):
             self._next()
             value = None
-            if not self._peek().is_punct(";"):
+            if self._peek().text != ";":
                 value = self._parse_expr()
             self._expect_punct(";")
             return ReturnStmt(value=value)
@@ -443,13 +443,13 @@ class Parser:
             label = self._expect_ident().text
             self._expect_punct(";")
             return GotoStmt(label=label)
-        if tok.is_punct(";"):
+        if tok.text == ";":
             self._next()
             return ExprStmt(expr=None)
         if (
             tok.kind is TokenKind.IDENT
-            and self._peek(1).is_punct(":")
-            and not self._peek(2).is_punct(":")
+            and self._peek(1).text == ":"
+            and self._peek(2).text != ":"
         ):
             self._next()
             self._next()
@@ -463,7 +463,7 @@ class Parser:
     def _parse_compound(self) -> CompoundStmt:
         self._expect_punct("{")
         stmts: list[Stmt] = []
-        while not self._peek().is_punct("}"):
+        while self._peek().text != "}":
             if self._peek().kind is TokenKind.EOF:
                 tok = self._peek()
                 raise ParseError("unterminated compound statement", tok.line, tok.col)
@@ -510,11 +510,11 @@ class Parser:
                 self._expect_punct(";")
                 init = ExprStmt(expr=expr)
         cond: Expr | None = None
-        if not self._peek().is_punct(";"):
+        if self._peek().text != ";":
             cond = self._parse_expr()
         self._expect_punct(";")
         inc: Expr | None = None
-        if not self._peek().is_punct(")"):
+        if self._peek().text != ")":
             inc = self._parse_expr()
         self._expect_punct(")")
         body = self._parse_statement()
@@ -554,7 +554,7 @@ class Parser:
     def _parse_expr(self) -> Expr:
         """Full expression including the comma operator."""
         expr = self._parse_assignment_expr()
-        while self._peek().is_punct(","):
+        while self._peek().text == ",":
             self._next()
             rhs = self._parse_assignment_expr()
             expr = BinaryOperator(op=",", lhs=expr, rhs=rhs)
@@ -563,7 +563,7 @@ class Parser:
     def _parse_assignment_expr(self) -> Expr:
         lhs = self._parse_conditional_expr()
         tok = self._peek()
-        if tok.is_punct("=") or (
+        if tok.text == "=" or (
             tok.kind is TokenKind.PUNCT and tok.text in COMPOUND_ASSIGN_OPS
         ):
             op = self._next().text
@@ -608,12 +608,12 @@ class Parser:
         return var_type
 
     def _parse_cast_expr(self) -> Expr:
-        if self._peek().is_punct("("):
+        if self._peek().text == "(":
             save = self.pos
             self._next()
             if self._is_type_name_ahead():
                 to_type = self._parse_type_name()
-                if self._peek().is_punct(")"):
+                if self._peek().text == ")":
                     self._next()
                     # ``(int){...}`` compound literals are not supported;
                     # treat what follows as the cast operand.
@@ -626,7 +626,7 @@ class Parser:
         tok = self._peek()
         if tok.is_keyword("sizeof"):
             self._next()
-            if self._peek().is_punct("("):
+            if self._peek().text == "(":
                 save = self.pos
                 self._next()
                 if self._is_type_name_ahead():
@@ -645,25 +645,25 @@ class Parser:
         expr = self._parse_primary_expr()
         while True:
             tok = self._peek()
-            if tok.is_punct("["):
+            if tok.text == "[":
                 self._next()
                 index = self._parse_expr()
                 self._expect_punct("]")
                 expr = ArraySubscriptExpr(base=expr, index=index)
-            elif tok.is_punct("("):
+            elif tok.text == "(":
                 self._next()
                 args: list[Expr] = []
-                while not self._peek().is_punct(")"):
+                while self._peek().text != ")":
                     args.append(self._parse_assignment_expr())
                     if not self._accept_punct(","):
                         break
                 self._expect_punct(")")
                 expr = CallExpr(callee=expr, args=args)
-            elif tok.is_punct("."):
+            elif tok.text == ".":
                 self._next()
                 member = self._expect_ident().text
                 expr = MemberExpr(base=expr, member=member, is_arrow=False)
-            elif tok.is_punct("->"):
+            elif tok.text == "->":
                 self._next()
                 member = self._expect_ident().text
                 expr = MemberExpr(base=expr, member=member, is_arrow=True)
@@ -694,7 +694,7 @@ class Parser:
         if tok.kind is TokenKind.IDENT:
             self._next()
             return DeclRefExpr(name=tok.text, tok_i=tok.index)
-        if tok.is_punct("("):
+        if tok.text == "(":
             self._next()
             expr = self._parse_expr()
             self._expect_punct(")")

@@ -10,30 +10,37 @@ with the same mechanism the paper used (:mod:`repro.dataset.synth`).
 Labels always come from pragma presence on re-parsed source — the same
 rule the paper applies (section 4.2) — never from generator bookkeeping,
 so the extraction pipeline is exercised end to end.
+
+Exports resolve lazily (PEP 562): serving imports
+:mod:`repro.dataset.extract` through this package, and must not pay for
+— or need ``jinja2`` for — the generators it never runs.
 """
 
-from repro.dataset.sample import LoopSample, load_jsonl, save_jsonl
-from repro.dataset.recipes import LoopRecipe, RecipeGenerator, CATEGORY_PROFILES
-from repro.dataset.extract import extract_loops_from_source
-from repro.dataset.synth import SyntheticGenerator
-from repro.dataset.corpus import CorpusGenerator
-from repro.dataset.omp_serial import (
-    DatasetConfig,
-    OMPSerial,
-    generate_omp_serial,
-)
+from importlib import import_module
 
-__all__ = [
-    "LoopSample",
-    "save_jsonl",
-    "load_jsonl",
-    "LoopRecipe",
-    "RecipeGenerator",
-    "CATEGORY_PROFILES",
-    "extract_loops_from_source",
-    "SyntheticGenerator",
-    "CorpusGenerator",
-    "OMPSerial",
-    "DatasetConfig",
-    "generate_omp_serial",
-]
+#: exported name -> defining submodule
+_EXPORTS = {
+    "LoopSample": "sample",
+    "save_jsonl": "sample",
+    "load_jsonl": "sample",
+    "LoopRecipe": "recipes",
+    "RecipeGenerator": "recipes",
+    "CATEGORY_PROFILES": "recipes",
+    "extract_loops_from_source": "extract",
+    "SyntheticGenerator": "synth",
+    "CorpusGenerator": "corpus",
+    "OMPSerial": "omp_serial",
+    "DatasetConfig": "omp_serial",
+    "generate_omp_serial": "omp_serial",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

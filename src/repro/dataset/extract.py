@@ -17,17 +17,23 @@ from repro.tools.access import collect_accesses
 
 
 def _outermost_loops(root) -> list[Stmt]:
-    """Loop statements not contained in another loop."""
+    """Loop statements not contained in another loop, in preorder.
+
+    Only statements can hold loops, and nothing inside a loop is
+    outermost, so the visit follows ``Stmt`` children and stops at the
+    first loop on each path.
+    """
     out: list[Stmt] = []
 
-    def visit(node, inside_loop: bool) -> None:
-        is_loop = isinstance(node, LOOP_KINDS)
-        if is_loop and not inside_loop:
+    def visit(node) -> None:
+        if isinstance(node, LOOP_KINDS):
             out.append(node)
+            return
         for child in node.children():
-            visit(child, inside_loop or is_loop)
+            if isinstance(child, Stmt):
+                visit(child)
 
-    visit(root, False)
+    visit(root)
     return out
 
 
@@ -53,12 +59,18 @@ def _function_loop_samples(
         # loc_of(loop) without unparsing the loop a second time
         loc = sum(1 for ln in loop_src.splitlines() if ln.strip())
         summary = collect_accesses(getattr(loop, "body", loop))
-        # One walk collects every name; checking each pointer param with
-        # its own walk made extraction quadratic in parameter count.
-        names_in_loop = {
-            name for n in loop.walk()
-            if (name := getattr(n, "name", None)) is not None
-        }
+        pointer_arrays: list[str] = []
+        if pointer_params:
+            # One walk collects every name; checking each pointer param
+            # with its own walk made extraction quadratic in parameter
+            # count.
+            names_in_loop = {
+                name for n in loop.walk()
+                if (name := getattr(n, "name", None)) is not None
+            }
+            pointer_arrays = [
+                name for name in pointer_params if name in names_in_loop
+            ]
         samples.append(LoopSample(
             source=loop_src,
             parallel=parallel,
@@ -70,9 +82,7 @@ def _function_loop_samples(
             loc=loc,
             file_id=file_id,
             file_meta=dict(file_meta or {}),
-            pointer_arrays=[
-                name for name in pointer_params if name in names_in_loop
-            ],
+            pointer_arrays=pointer_arrays,
         ))
     return samples
 

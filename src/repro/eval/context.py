@@ -9,10 +9,10 @@ within a process (pytest-benchmark runs every bench in one process).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.dataset import DatasetConfig, OMPSerial, generate_omp_serial
 from repro.dataset.sample import LoopSample
 from repro.eval.config import ExperimentConfig
 from repro.models import (
@@ -31,6 +31,9 @@ from repro.train import (
     prepare_graph_data,
     prepare_token_data,
 )
+
+if TYPE_CHECKING:
+    from repro.dataset.omp_serial import OMPSerial
 
 #: label functions per task name (clause tasks are Table 5)
 LABEL_FNS = {
@@ -178,6 +181,13 @@ class ExperimentContext:
     @property
     def dataset(self) -> OMPSerial:
         if self._dataset is None:
+            # imported here: loading a bundle for serving imports this
+            # module, and must not load the generators (nor jinja2)
+            from repro.dataset.omp_serial import (
+                DatasetConfig,
+                generate_omp_serial,
+            )
+
             self._dataset = generate_omp_serial(DatasetConfig(
                 scale=self.config.scale,
                 seed=self.config.seed,

@@ -38,7 +38,7 @@ from repro.cfront.nodes import (
     UnaryOperator,
     VarDecl,
 )
-from repro.graphs.hetgraph import EdgeType, HetGraph
+from repro.graphs.hetgraph import NODE_POSITIONS, EdgeType, HetGraph
 
 #: Literal buckets: small constants are semantically meaningful for
 #: parallelisation (strides, bounds); everything else collapses.
@@ -108,10 +108,6 @@ def _node_text(node: Node, renamer: _Renamer, called_names: set[str]) -> str:
     return ""
 
 
-def _is_leaf(node: Node) -> bool:
-    return next(node.children(), None) is None
-
-
 def build_vanilla_ast(loop: Stmt, meta: dict | None = None) -> HetGraph:
     """The plain heterogeneous AST (tree edges only): Table 2's "AST" row."""
     return _build(loop, with_cfg=False, with_lexical=False, meta=meta)
@@ -134,32 +130,46 @@ def build_aug_ast(
 def _build(loop: Stmt, with_cfg: bool, with_lexical: bool,
            meta: dict | None) -> HetGraph:
     graph = HetGraph(meta=dict(meta or {}))
-    renamer = _Renamer()
-
-    # Functions are renamed into a separate namespace; collect call targets
-    # first so a ``DeclRefExpr`` used as a callee maps to ``f<k>``.
-    called_names = {
-        c.name for c in loop.find_all(CallExpr) if c.name
-    }
-
-    node_ids: dict[int, int] = {}  # id(ast node) -> graph node id
+    # One recursive pass lays out every node: graph ids are preorder,
+    # and a child's subtree edges precede its own parent edge.  Texts
+    # wait until the pass has seen every call, because functions are
+    # renamed into a separate namespace (a ``DeclRefExpr`` used as a
+    # callee anywhere in the loop maps to ``f<k>``).
+    nodes: list[Node] = []              # graph id -> AST node
+    called_names: set[str] = set()
+    leaves: list[tuple[int, int]] = []  # (token index, graph id)
+    types = graph.node_types
+    positions = graph.node_positions
+    is_leaf = graph.node_is_leaf
+    edges = graph.edges
+    last_position = NODE_POSITIONS - 1
+    ast, ast_rev = EdgeType.AST, EdgeType.AST_REV
 
     def add(node: Node, position: int) -> int:
-        gid = graph.add_node(
-            node_type=node.kind,
-            text=_node_text(node, renamer, called_names),
-            position=position,
-            is_leaf=_is_leaf(node),
-        )
-        node_ids[id(node)] = gid
-        for child_pos, child in enumerate(node.children()):
+        gid = len(nodes)
+        nodes.append(node)
+        types.append(type(node).__name__)
+        positions.append(min(position, last_position))
+        if isinstance(node, CallExpr):
+            if name := node.name:
+                called_names.add(name)
+        elif getattr(node, "tok_i", -1) >= 0:
+            leaves.append((node.tok_i, gid))
+        children = node.children()
+        is_leaf.append(not children)
+        for child_pos, child in enumerate(children):
             cid = add(child, child_pos)
-            graph.add_edge(gid, cid, EdgeType.AST, reverse=EdgeType.AST_REV)
+            edges.append((gid, cid, ast))
+            edges.append((cid, gid, ast_rev))
         return gid
 
     add(loop, 0)
+    renamer = _Renamer()
+    graph.node_texts.extend(
+        _node_text(node, renamer, called_names) for node in nodes)
 
     if with_cfg:
+        node_ids = {id(node): gid for gid, node in enumerate(nodes)}
         cfg = build_cfg(loop)
         for edge in cfg.edges:
             src_ast = cfg.nodes[edge.src].ast
@@ -170,17 +180,13 @@ def _build(loop: Stmt, with_cfg: bool, with_lexical: bool,
             dst_gid = node_ids.get(id(dst_ast))
             if src_gid is None or dst_gid is None or src_gid == dst_gid:
                 continue
-            graph.add_edge(src_gid, dst_gid, EdgeType.CFG, reverse=EdgeType.CFG_REV)
+            edges.append((src_gid, dst_gid, EdgeType.CFG))
+            edges.append((dst_gid, src_gid, EdgeType.CFG_REV))
 
     if with_lexical:
-        leaves = sorted(
-            (
-                (node.tok_i, node_ids[id(node)])
-                for node in loop.walk()
-                if getattr(node, "tok_i", -1) >= 0 and id(node) in node_ids
-            ),
-        )
+        leaves.sort()
         for (_, a), (_, b) in zip(leaves, leaves[1:]):
-            graph.add_edge(a, b, EdgeType.LEX, reverse=EdgeType.LEX_REV)
+            edges.append((a, b, EdgeType.LEX))
+            edges.append((b, a, EdgeType.LEX_REV))
 
     return graph

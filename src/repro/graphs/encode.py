@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.graphs.augast import build_aug_ast, build_vanilla_ast
 from repro.graphs.hetgraph import EdgeType, HetGraph, RELATIONS
-from repro.graphs.vocab import GraphVocab
+from repro.graphs.vocab import UNK, GraphVocab
 
 #: graph builder per representation name (shared by trainers and caches)
 REPRESENTATION_BUILDERS = {
@@ -55,17 +55,20 @@ class EncodedGraph:
 
 def encode_graph(graph: HetGraph, vocab: GraphVocab, label: int = 0) -> EncodedGraph:
     """Map a :class:`HetGraph` onto integer arrays through ``vocab``."""
-    type_ids = np.array([vocab.types[t] for t in graph.node_types], dtype=np.int64)
-    text_ids = np.array([vocab.texts[t] for t in graph.node_texts], dtype=np.int64)
+    types, texts = vocab.types.tokens, vocab.texts.tokens
+    type_unk, text_unk = types[UNK], texts[UNK]
+    type_ids = np.array([types.get(t, type_unk) for t in graph.node_types],
+                        dtype=np.int64)
+    text_ids = np.array([texts.get(t, text_unk) for t in graph.node_texts],
+                        dtype=np.int64)
     position_ids = np.array(graph.node_positions, dtype=np.int64)
     is_leaf = np.array(graph.node_is_leaf, dtype=bool)
-    edges: dict[EdgeType, np.ndarray] = {}
-    for rel in RELATIONS:
-        pairs = graph.edges_of_type(rel)
-        if pairs:
-            edges[rel] = np.array(pairs, dtype=np.int64).T
-        else:
-            edges[rel] = np.zeros((2, 0), dtype=np.int64)
+    # one pass buckets the edges by relation, as flat (src, dst, ...) runs
+    flat: dict[EdgeType, list[int]] = {rel: [] for rel in RELATIONS}
+    for src, dst, rel in graph.edges:
+        flat[rel] += (src, dst)
+    edges = {rel: np.array(ends, dtype=np.int64).reshape(-1, 2).T
+             for rel, ends in flat.items()}
     return EncodedGraph(
         type_ids=type_ids,
         text_ids=text_ids,

@@ -97,6 +97,51 @@ class TestExtraction:
                 loop.pragmas = []
                 assert sample.loc == loc_of(loop) > 0
 
+    def test_outermost_loops_equal_full_tree_visit(self):
+        """Following only statements and stopping at the first loop
+        finds exactly the loops a visit of every node finds."""
+        from pathlib import Path
+
+        from repro.cfront.nodes import LOOP_KINDS
+        from repro.dataset.extract import _outermost_loops
+
+        def full_visit(root):
+            out = []
+
+            def visit(node, inside_loop):
+                is_loop = isinstance(node, LOOP_KINDS)
+                if is_loop and not inside_loop:
+                    out.append(node)
+                for child in node.children():
+                    visit(child, inside_loop or is_loop)
+
+            visit(root, False)
+            return out
+
+        corpus = Path(__file__).resolve().parents[2] / "examples" / "corpus"
+        sources = [p.read_text(encoding="utf-8")
+                   for p in sorted(corpus.glob("*.c"))]
+        for seed in (3, 11):
+            _, files = CorpusGenerator(seed=seed).generate(scale=0.003)
+            sources += [f.source for f in files]
+        sources.append(
+            "void f(int n, double *a) { int i, j;\n"
+            "  switch (n) { case 1: for (i = 0; i < n; i++) a[i] = 0;\n"
+            "  default: while (n--) { do { a[n]++; } while (0); } }\n"
+            "  if (n) { L: for (;;) for (j = 0; j < 2; j++) break; }\n"
+            "  else for (i = 0; i < n; i++) ;\n"
+            "}\n")
+        total = 0
+        for source in sources:
+            for fn in parse_source(source).functions():
+                if fn.body is None:
+                    continue
+                loops = _outermost_loops(fn.body)
+                assert [id(x) for x in loops] == \
+                    [id(x) for x in full_visit(fn.body)]
+                total += len(loops)
+        assert total > 100
+
 
 class TestSyntheticGenerator:
     def test_programs_compile_and_label(self):
