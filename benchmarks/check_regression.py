@@ -21,6 +21,11 @@ Usage::
 Exit status: 0 when nothing regressed, 1 on any regression or any
 baselined bench that emitted no fresh artifact (a bench silently
 dropping out of CI must not pass the gate).
+
+A scaling headline (:data:`SCALING`) is only asserted by its bench on
+a host with at least :data:`MIN_SCALING_CPUS` cpus, so ``--update``
+refuses to bank one measured on fewer, and the trend table shows each
+scaling row's ``cpus`` (baseline → current).
 """
 
 from __future__ import annotations
@@ -43,6 +48,12 @@ HEADLINES: dict[str, tuple[str, ...]] = {
     "BENCH_verify.json": ("compiled_speedup",),
     "BENCH_warm_cache.json": ("speedup",),
 }
+
+
+#: artifacts whose headline is a multi-core speedup; their benches
+#: skip the speedup assertion below MIN_SCALING_CPUS
+SCALING = ("BENCH_fabric.json", "BENCH_shard_scaling.json")
+MIN_SCALING_CPUS = 2
 
 
 def _load(path: Path) -> dict | None:
@@ -74,6 +85,9 @@ def compare(fresh_dir: Path, baseline_dir: Path,
             row = {"artifact": name, "metric": metric,
                    "baseline": (baseline or {}).get(metric),
                    "fresh": (fresh or {}).get(metric)}
+            if name in SCALING:
+                row["cpus"] = ((baseline or {}).get("cpus"),
+                               (fresh or {}).get("cpus"))
             if baseline is None or row["baseline"] is None:
                 row["status"] = "new"
             elif fresh is None or row["fresh"] is None:
@@ -96,8 +110,8 @@ def trend_table(rows: list[dict], threshold: float) -> str:
     lines = [
         f"### Bench trend (gate: >{threshold:.0%} slowdown fails)",
         "",
-        "| artifact | metric | baseline | current | Δ | status |",
-        "|---|---|---:|---:|---:|---|",
+        "| artifact | metric | baseline | current | Δ | cpus | status |",
+        "|---|---|---:|---:|---:|---|---|",
     ]
     for row in rows:
         base, fresh = row["baseline"], row["fresh"]
@@ -108,9 +122,11 @@ def trend_table(rows: list[dict], threshold: float) -> str:
             delta = "—"
         fmt = (lambda v: f"{v:g}"
                if isinstance(v, (int, float)) else "—")
+        cpus = (" → ".join(map(fmt, row["cpus"])) if "cpus" in row
+                else "")
         lines.append(
             f"| {row['artifact']} | {row['metric']} | {fmt(base)} "
-            f"| {fmt(fresh)} | {delta} "
+            f"| {fmt(fresh)} | {delta} | {cpus} "
             f"| {_MARKS.get(row['status'], row['status'])} |")
     return "\n".join(lines) + "\n"
 
@@ -137,6 +153,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.update:
+        refused = [name for name in SCALING
+                   if (args.fresh_dir / name).exists()
+                   and ((_load(args.fresh_dir / name) or {}).get("cpus")
+                        or 0) < MIN_SCALING_CPUS]
+        for name in refused:
+            print(f"refusing to baseline {name}: measured on fewer than "
+                  f"{MIN_SCALING_CPUS} cpus, where its speedup "
+                  f"assertion is skipped", file=sys.stderr)
+        if refused:
+            return 1
         for path in sorted(args.fresh_dir.glob("BENCH_*.json")):
             target = args.baseline_dir / path.name
             target.write_text(path.read_text())

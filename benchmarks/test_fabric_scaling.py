@@ -42,8 +42,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _named_corpus() -> list[tuple[str, str]]:
-    # big enough that per-peer compute dwarfs the relay's wire and
-    # process overhead: the 2-peer ratio must reflect the pipeline
+    # big enough that per-peer compute dwarfs the coordinator's wire
+    # overhead: the 2-peer ratio must reflect the pipeline
     _, files = CorpusGenerator(seed=37).generate(scale=0.008)
     return [(f"file_{f.file_id}.c", f.source) for f in files]
 
@@ -81,7 +81,7 @@ def _timed_fabric(peers, named) -> tuple[float, list]:
     """One *cold* pass: every peer must be freshly spawned.
 
     A second pass over the same daemons would replay warm from their
-    suggestion stores and measure relay overhead instead of compute —
+    suggestion stores and measure wire overhead instead of compute —
     so each topology gets its own peers and a single measurement.
     """
     start = time.perf_counter()

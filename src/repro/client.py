@@ -269,6 +269,15 @@ class Client:
             except OSError:
                 pass
 
+    def abort(self) -> None:
+        """Cut the link from another thread: a blocked read wakes (on
+        ``shutdown``; ``close`` would not wake it) and never retries."""
+        self.retry = None
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
     def _reconnect(self) -> None:
         """Tear down the broken socket, reopen, re-handshake.
 
@@ -372,7 +381,7 @@ class Client:
         """Stream one request's raw :class:`FileResult` frames.
 
         The index-tagged, payload-level form of :meth:`stream` — what
-        a fabric relay forwards verbatim onto a supervisor queue.
+        a fabric shard thread posts onto the supervisor queue.
         Retry, reconnect, and exactly-once index dedup apply the same.
         """
         request = self._with_deadline(request)

@@ -1,173 +1,155 @@
-"""Remote shard backend: workers that dial peers instead of forking.
+"""Remote shard backend: coordinator threads that stream shards from peers.
 
 :func:`stream_fabric` is the coordinator side of distributed serving.
-It plans the corpus into one shard per peer (:func:`plan_peer_shards`)
-and hands the plan to the *unchanged* :func:`~repro.serve.stream.
-stream_shards` supervisor — but the :class:`~repro.serve.worker.
-WorkerSpec` it builds carries ``peers``, so each worker process, rather
-than rebuilding a local service, dials one of the listed ``repro
-serve`` daemons (:func:`relay_shard`) and forwards the streamed
-:class:`~repro.serve.protocol.FileResult` frames onto the supervisor
-queue verbatim.
+It serves each distinct file content once, plans the distinct files
+into one shard per peer (:func:`plan_peer_shards`), and hands the plan
+to the :func:`~repro.serve.stream.stream_shards` supervisor with a
+starter that runs each shard as a thread of this process
+(:class:`_PeerShard`) instead of a forked worker.  The thread dials one
+of the listed ``repro serve`` daemons and posts the streamed
+:class:`~repro.serve.protocol.FileResult` payloads onto the supervisor
+queue as the same ``claim`` / ``file`` / ``done`` messages a local
+worker posts.
 
-The relay translates *peer* failure into *worker* failure: a peer
-that drops mid-stream or goes silent past the client timeout makes
-the relay process exit nonzero without an ``("error", ...)`` message
-— to the supervisor that is indistinguishable from a local worker
-SIGKILL, so the whole PR-9 machinery (requeue onto a careful respawn,
-bounded retries, per-file quarantine) applies unchanged.  Dialing
-rotates: a shard starts at slot ``sid % len(peers)`` and a refused
-connection moves to the next peer (:func:`_dial`), so losing one
-daemon re-routes its files onto the survivors — at dial time
-immediately, mid-stream via the supervisor's requeue respawning a
-relay that then rotates past the corpse.  Only a fleet with *no*
-reachable peer raises, which ``worker_main`` reports as a soft error:
-when nobody answers, retrying is noise and the run must abort.
+A peer that drops mid-stream or stays silent past ``timeout_s`` ends
+its thread without ``done`` — to the supervisor that is a hard worker
+death, so requeue onto a careful respawn, bounded retries and per-file
+quarantine apply unchanged.  Dialing rotates: a shard starts at slot
+``sid % len(peers)`` and a refused connection moves to the next peer
+(:func:`_dial`), so losing one daemon re-routes its files onto the
+survivors — at dial time immediately, mid-stream via the supervisor's
+requeue starting a new thread that rotates past the corpse.  Only a
+fleet with *no* reachable peer posts an ``error``, which aborts the
+run: when nobody answers, retrying is noise.
 
 Results are byte-identical to the in-process path at every peer count:
-peers serve byte-identically (the PR-5 invariant), and the relay never
-touches a payload.
+peers serve byte-identically (the daemon's invariant), and the
+coordinator never touches a payload.
 """
 
 from __future__ import annotations
 
-import os
-import time
+import threading
+import traceback
 from collections.abc import Iterator
-from dataclasses import replace
+from functools import partial
 
 from repro.client import ClientError, RetryPolicy, connect
-from repro.serve import faults, protocol
-from repro.serve.pipeline import ServeConfig, revive_for
+from repro.serve import protocol
+from repro.serve.pipeline import (
+    ServeConfig,
+    _distinct_contents,
+    _fan_out,
+    revive_for,
+)
 from repro.serve.plan import plan_peer_shards
 from repro.serve.stream import merge_results, stream_shards
 from repro.serve.worker import WorkerSpec
 
-#: connect attempts per relay incarnation — kept small because the
+#: connect attempts per shard thread — kept small because the
 #: supervisor's retry/requeue loop is the real (per-lineage) budget
-_RELAY_ATTEMPTS = 3
+_DIAL_ATTEMPTS = 3
 
 
-def _dial(spec: WorkerSpec, sid: int, *, client_id: str):
+def _dial(peers, bundles, sid: int, *, timeout_s: float):
     """Connect to the first reachable peer, starting at ``sid``'s slot.
 
     Rotation is what turns a dead peer into a failover instead of a
     quarantine: the shard's home slot is ``sid % len(peers)``, and a
-    refused connection moves one slot over rather than killing the
-    relay — so a fleet keeps serving as long as *any* peer answers.
-    Raises when none does; ``worker_main`` reports that as a soft
-    error that aborts the run, because requeuing cannot conjure a
-    reachable daemon.  Returns ``(client, bundle_name)`` with the
-    bundle aligned to the peer that actually answered.
+    refused connection moves one slot over rather than ending the
+    shard — so a fleet keeps serving as long as *any* peer answers.
+    Raises ``ClientError`` (code ``no-peers``) when none does.
+    Returns ``(client, bundle_name)`` with the bundle aligned to the
+    peer that actually answered.
     """
     last_exc: Exception | None = None
-    for attempt in range(len(spec.peers)):
-        slot = (sid + attempt) % len(spec.peers)
-        bundle = spec.peer_bundles[slot] if spec.peer_bundles else None
+    for attempt in range(len(peers)):
+        slot = (sid + attempt) % len(peers)
         try:
             client = connect(
-                spec.peers[slot], timeout=spec.peer_timeout_s,
-                retry=RetryPolicy(max_attempts=_RELAY_ATTEMPTS,
-                                  seed=sid),
-                client_id=client_id)
-            return client, bundle
+                peers[slot], timeout=timeout_s,
+                retry=RetryPolicy(max_attempts=_DIAL_ATTEMPTS, seed=sid),
+                client_id=f"repro.fabric/shard{sid}")
+            return client, bundles[slot] if bundles else None
         except (ClientError, OSError) as exc:
             last_exc = exc
     raise ClientError(
-        f"no reachable peer among {list(spec.peers)}: {last_exc}",
+        f"no reachable peer among {list(peers)}: {last_exc}",
         code="no-peers")
 
 
-def _request_for(spec: WorkerSpec, items,
-                 bundle: str | None) -> protocol.SuggestRequest:
-    return protocol.request_for(
-        spec.mode, verify=spec.verify, bundle=bundle, ordered=False,
-        sources=tuple((str(name), source) for name, source in items))
+class _PeerShard:
+    """One shard streamed from a peer by a thread of the coordinator.
 
-
-def _die(queue) -> None:
-    """Exit as a *hard* worker death.
-
-    Flushes messages already handed to the queue (delivered files must
-    not be lost with the process), then exits without touching python
-    exception handling — ``worker_main`` must not see this as a soft
-    error, because a soft error aborts the whole run while a hard
-    death is requeued.
+    Process-shaped for the supervisor (``exitcode``, ``join``,
+    ``terminate``) and speaks a local worker's queue contract.
+    Careful mode issues one request per file with a claim ahead of
+    each, preserving per-file blame across the wire.  ``beats`` is
+    false: a peer computing silently is not hung, and the client's
+    socket timeout already bounds its silence.
     """
-    try:
-        queue.close()
-        queue.join_thread()
-    except Exception:
-        pass
-    os._exit(1)
 
+    beats = False
 
-def relay_shard(spec: WorkerSpec, shard, queue, heartbeat, *,
-                careful: bool = False) -> None:
-    """Worker-process body for a remote shard: dial, stream, forward.
+    def __init__(self, spec: WorkerSpec, peers, bundles, timeout_s: float,
+                 shard, queue, careful: bool) -> None:
+        self._client = None
+        self._stopped = False
+        self._code = 1          # a thread that never posts done died
+        self._thread = threading.Thread(
+            target=self._run, daemon=True,
+            args=(spec, peers, bundles, timeout_s, shard, queue, careful),
+            name=f"repro.fabric/shard{shard.sid}")
+        self._thread.start()
 
-    Speaks the exact queue contract of a local worker — ``file`` /
-    ``claim`` / ``done`` messages plus the heartbeat ``worker_main``
-    already started — so the supervisor cannot tell a peer relay from
-    a forked pipeline.  Careful mode issues one request per file with
-    a claim ahead of each, preserving per-file blame across the wire.
-    """
-    client, bundle = _dial(spec, shard.sid,
-                           client_id=f"repro.fabric/shard{shard.sid}")
-    files_done = 0
+    @property
+    def exitcode(self) -> int | None:
+        return None if self._thread.is_alive() else self._code
 
-    def _emit(local_index: int, name: str, payload: dict) -> None:
-        nonlocal files_done
-        action = faults.on_worker_file(shard.sid, files_done, name)
-        if action == "hang":
-            heartbeat.stop()
-            time.sleep(faults.HANG_S)
-        elif action == "kill":
-            queue.close()
-            queue.join_thread()
-            faults.kill_self()
-        queue.put(("file", shard.sid, shard.indices[local_index],
-                   name, payload))
-        files_done += 1
+    def join(self, timeout: float | None = None) -> None:
+        self._thread.join(timeout)
 
-    try:
-        if careful:
-            for local_index in range(len(shard.items)):
-                queue.put(("claim", shard.sid,
-                           shard.indices[local_index]))
-                request = _request_for(
-                    spec, [shard.items[local_index]], bundle)
-                for frame in client.stream_request(request):
-                    _emit(local_index, frame.name, frame.payload)
-        else:
-            request = _request_for(spec, shard.items, bundle)
-            for frame in client.stream_request(request):
-                _emit(frame.index, frame.name, frame.payload)
-        queue.put(("done", shard.sid, {}))
-    except (ClientError, OSError):
-        _die(queue)
-    finally:
+    def terminate(self) -> None:
+        # flag first, then look for a client; the thread publishes its
+        # client first, then looks at the flag — one side sees the other
+        self._stopped = True
+        if self._client is not None:
+            self._client.abort()
+
+    def _run(self, spec, peers, bundles, timeout_s, shard, queue,
+             careful) -> None:
         try:
+            client, bundle = _dial(peers, bundles, shard.sid,
+                                   timeout_s=timeout_s)
+        except ClientError as exc:
+            queue.put(("error", shard.sid, str(exc)))
+            return
+        self._client = client
+        if self._stopped:
             client.close()
+            return
+        batches = ([[i] for i in range(len(shard.items))] if careful
+                   else [range(len(shard.items))])
+        try:
+            for local in batches:
+                if careful:
+                    queue.put(("claim", shard.sid, shard.indices[local[0]]))
+                request = protocol.request_for(
+                    spec.mode, verify=spec.verify, bundle=bundle,
+                    ordered=False,
+                    sources=tuple(shard.items[i] for i in local))
+                for frame in client.stream_request(request):
+                    queue.put(("file", shard.sid,
+                               shard.indices[local[frame.index]],
+                               frame.name, frame.payload))
+            queue.put(("done", shard.sid, {}))
+            self._code = 0
+        except (ClientError, OSError):
+            pass                # peer lost: a hard death, requeued
         except Exception:
-            pass
-
-
-def iter_inline(spec: WorkerSpec, named_sources,
-                revive) -> Iterator[tuple[int, object]]:
-    """Process-free fallback: relay the whole corpus through one peer.
-
-    Used when worker processes cannot spawn at all — remote shards do
-    not need local processes to parallelize (the peers compute), so
-    the sandboxed coordinator still serves, just without local fan-out.
-    """
-    client, bundle = _dial(spec, 0, client_id="repro.fabric/inline")
-    try:
-        request = _request_for(spec, list(named_sources), bundle)
-        for frame in client.stream_request(request):
-            yield frame.index, revive(frame.name, frame.payload)
-    finally:
-        client.close()
+            queue.put(("error", shard.sid, traceback.format_exc()))
+        finally:
+            client.close()
 
 
 def stream_fabric(
@@ -181,11 +163,14 @@ def stream_fabric(
     :class:`~repro.rewrite.FileRewrite` in ``mode="rewrite"``) exactly
     as the in-process ``stream_sources`` would — byte-identical
     results, same ordered / as-completed semantics — with the compute
-    happening on the peers and peer loss handled by requeue.
-    ``peer_bundles`` (from :func:`~repro.fabric.cas.provision_peers`)
-    names the bundle each peer serves; empty means every peer's
-    default.  ``config`` supplies the supervision knobs
-    (``max_retries``, ``heartbeat_s``, ``retry_backoff_s``).
+    happening on the peers and peer loss handled by requeue.  Files
+    with identical content are shipped once and the result re-labelled
+    with each copy's name.  ``peer_bundles`` (from
+    :func:`~repro.fabric.cas.provision_peers`) names the bundle each
+    peer serves; empty means every peer's default.  ``config`` supplies
+    the supervision knobs (``max_retries``, ``retry_backoff_s``);
+    ``timeout_s`` bounds how long a silent peer is waited on.  Closing
+    the stream closes every peer connection and joins its thread.
     """
     peers = tuple(peers)
     if not peers:
@@ -194,12 +179,12 @@ def stream_fabric(
     if peer_bundles and len(peer_bundles) != len(peers):
         raise ValueError("peer_bundles must align with peers")
     config = config if config is not None else ServeConfig()
-    spec = WorkerSpec(config=replace(config, shards=1, workers=1),
-                      mode=mode, verify=verify, peers=peers,
-                      peer_bundles=peer_bundles,
-                      peer_timeout_s=timeout_s)
-    named = [(str(name), source) for name, source in named_sources]
-    n_shards = plan_peer_shards(len(peers), named)
-    return merge_results(
-        stream_shards(spec, named, n_shards, revive=revive_for(mode)),
-        ordered=ordered)
+    spec = WorkerSpec(config=config, mode=mode, verify=verify)
+    distinct, subscribers = _distinct_contents(
+        (i, str(name), source) for i, (name, source) in
+        enumerate(named_sources))
+    results = stream_shards(
+        spec, distinct, plan_peer_shards(len(peers), distinct),
+        revive=revive_for(mode),
+        start=partial(_PeerShard, spec, peers, peer_bundles, timeout_s))
+    return merge_results(_fan_out(results, subscribers), ordered=ordered)

@@ -24,8 +24,10 @@ failures — an exception inside a worker — still travel back with their
 traceback and raise :class:`ServeError`: they indicate a bug, not an
 environment fault, and retrying a bug is noise.
 
-Environments that cannot spawn processes at all degrade to the
-in-process pipeline rather than failing the request, mirroring the
+A shard is a forked worker by default; the fabric passes its own
+starter, running each ``--peers`` shard as a coordinator thread, under
+the same supervision.  Environments that cannot fork at all degrade to
+the in-process pipeline rather than failing the request, mirroring the
 parse stage's fallback.
 """
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from collections.abc import Iterator
-from queue import Empty
+from queue import Empty, SimpleQueue
 
 from repro.serve.pipeline import FileSuggestions
 from repro.serve.plan import Shard, plan_shards
@@ -80,11 +82,17 @@ def merge_results(
 
 
 class _Worker:
-    """Supervisor-side state for one live worker process."""
+    """Supervisor-side state for one live shard.
 
-    def __init__(self, proc, shard, *, careful: bool,
+    ``handle`` is what the starter returned: a process, or anything
+    with its ``exitcode`` / ``join`` / ``terminate``.  One whose
+    ``beats`` is false is never presumed hung for its silence.
+    """
+
+    def __init__(self, handle, shard, *, careful: bool,
                  lineage: int) -> None:
-        self.proc = proc
+        self.handle = handle
+        self.beats = getattr(handle, "beats", True)
         self.shard = shard
         self.careful = careful
         #: original sid of the first worker in this retry chain — the
@@ -108,7 +116,7 @@ def _error_record(revive, name: str, code: str, detail: str):
 
 def stream_shards(
     spec, named_sources: list[tuple[str, str]], n_shards: int,
-    on_stats=None, revive=None,
+    on_stats=None, revive=None, start=None,
 ) -> Iterator[tuple[int, FileSuggestions]]:
     """Run ``named_sources`` through ``n_shards`` supervised workers.
 
@@ -128,6 +136,11 @@ def stream_shards(
     deaths per lineage, ``heartbeat_s`` silence before a live-but-mute
     worker is presumed hung and killed, ``retry_backoff_s`` base of the
     exponential respawn delay.
+
+    ``start(shard, queue, careful)`` launches one shard and returns its
+    handle (see :class:`_Worker`); the default forks
+    :func:`~repro.serve.worker.worker_main`.  A custom starter runs in
+    this process, on a thread queue (a message is readable once put).
     """
     from repro.serve.worker import worker_main
 
@@ -146,8 +159,18 @@ def stream_shards(
         for index, item in zip(shard.indices, shard.items):
             items_by_index[index] = item
 
-    ctx = multiprocessing.get_context()
-    queue = ctx.Queue()
+    if start is None:
+        ctx = multiprocessing.get_context()
+        queue = ctx.Queue()
+
+        def start(shard: Shard, queue, careful: bool):
+            proc = ctx.Process(target=worker_main,
+                               args=(spec, shard, queue, careful),
+                               daemon=True)
+            proc.start()
+            return proc
+    else:
+        queue = SimpleQueue()
     workers: dict[int, _Worker] = {}
     # fresh sids for respawned shards, so per-sid fault plans and
     # worker messages never alias a dead worker's
@@ -157,12 +180,8 @@ def stream_shards(
     deaths: dict[int, int] = {}
 
     def _spawn(shard: Shard, *, careful: bool, lineage: int) -> None:
-        proc = ctx.Process(target=worker_main,
-                           args=(spec, shard, queue, careful),
-                           daemon=True)
-        proc.start()
-        workers[shard.sid] = _Worker(proc, shard, careful=careful,
-                                     lineage=lineage)
+        workers[shard.sid] = _Worker(start(shard, queue, careful), shard,
+                                     careful=careful, lineage=lineage)
 
     try:
         for shard in shards:
@@ -171,18 +190,9 @@ def stream_shards(
         # No process support here (sandboxes, exhausted pids): serve
         # in-process instead of failing the request.
         for worker in workers.values():
-            worker.proc.terminate()
-        named = list(named_sources)
-        if getattr(spec, "peers", ()):
-            # Remote shards don't need processes to parallelize — the
-            # peers compute; relay the whole corpus through one of
-            # them from this process.
-            from repro.fabric.remote import iter_inline
-
-            yield from iter_inline(spec, named, revive)
-            return
+            worker.handle.terminate()
         service = spec.build_service()
-        yield from spec.serve(service, named)
+        yield from spec.serve(service, list(named_sources))
         if on_stats is not None:
             on_stats(service.cache_stats())
         return
@@ -210,7 +220,7 @@ def stream_shards(
         elif kind == "done":
             if worker is not None:
                 del workers[sid]
-                worker.proc.join(timeout=_JOIN_S)
+                worker.handle.join(timeout=_JOIN_S)
                 if on_stats is not None:
                     on_stats(rest[0])
         elif kind == "error":
@@ -221,7 +231,7 @@ def stream_shards(
     def _bury(sid: int) -> Iterator[tuple[int, FileSuggestions]]:
         """Handle one dead worker: blame, quarantine, respawn."""
         worker = workers.pop(sid)
-        worker.proc.join(timeout=_JOIN_S)
+        worker.handle.join(timeout=_JOIN_S)
         unfinished = [i for i in worker.shard.indices
                       if i not in received]
         if not unfinished:
@@ -291,12 +301,13 @@ def stream_shards(
                 now = time.monotonic()
                 suspects = []
                 for sid, worker in list(workers.items()):
-                    if worker.proc.exitcode is not None:
+                    if worker.handle.exitcode is not None:
                         suspects.append(sid)
-                    elif now - worker.last_seen > heartbeat_s:
+                    elif worker.beats and now - worker.last_seen > \
+                            heartbeat_s:
                         # Alive but silent past the heartbeat window:
                         # presumed hung; reap it and requeue its work.
-                        worker.proc.kill()
+                        worker.handle.kill()
                         suspects.append(sid)
                 if suspects:
                     # Drain messages that raced the exit before judging
@@ -310,10 +321,11 @@ def stream_shards(
             yield from _handle(message)
     finally:
         for worker in workers.values():
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-                worker.proc.join(timeout=_JOIN_S)
-        queue.close()
+            if worker.handle.exitcode is None:
+                worker.handle.terminate()
+                worker.handle.join(timeout=_JOIN_S)
+        if not isinstance(queue, SimpleQueue):
+            queue.close()
 
 
 def _drain(queue) -> list:

@@ -63,18 +63,6 @@ class WorkerSpec:
     distributes verification across shards.  ``verify`` /
     ``verify_config`` are the rewrite knobs (a frozen
     :class:`~repro.rewrite.verify.VerifyConfig` pickles fine).
-
-    ``peers`` switches the worker into *remote* mode: instead of
-    rebuilding a service locally it dials one of the listed ``repro
-    serve`` daemons (home slot ``sid % len(peers)``, rotating past
-    peers that refuse the connection) and relays the streamed results
-    onto the queue — the supervisor sees the exact same message
-    contract, so peer death and requeue are handled by the same
-    retry/quarantine machinery as local worker death.
-    ``peer_bundles`` (aligned with ``peers``) names the bundle each
-    peer serves the shard from; ``peer_timeout_s`` bounds how long a
-    silent peer connection is waited on before the relay gives up and
-    dies for the supervisor to requeue.
     """
 
     config: ServeConfig
@@ -85,9 +73,6 @@ class WorkerSpec:
     mode: str = "suggest"
     verify: bool = True
     verify_config: object | None = None
-    peers: tuple[str, ...] = field(default_factory=tuple)
-    peer_bundles: tuple[str | None, ...] = field(default_factory=tuple)
-    peer_timeout_s: float = 600.0
 
     def build_service(self) -> SuggestionService:
         if self.bundle_path is not None:
@@ -180,16 +165,6 @@ def worker_main(spec: WorkerSpec, shard, queue,
     heartbeat = _Heartbeat(shard.sid, queue, interval)
     heartbeat.start()
     try:
-        if spec.peers:
-            # Remote mode: relay the shard through a peer daemon.
-            # Peer loss mid-stream is a hard death (the supervisor
-            # requeues, exactly as for a local worker death); a fleet
-            # with no reachable peer raises into the soft-error path
-            # below, because requeuing cannot help then.
-            from repro.fabric.remote import relay_shard
-
-            relay_shard(spec, shard, queue, heartbeat, careful=careful)
-            return
         service = spec.build_service()
         files_done = 0
         for local_index, result in _iter_results(service, spec, shard,

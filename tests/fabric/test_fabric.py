@@ -6,16 +6,24 @@ peer, at two peers, and with one peer dead mid-fleet (the supervisor
 requeues its shard onto a survivor instead of aborting).
 """
 
+import json
+import multiprocessing
 import socket
+import struct
+import threading
 
 import numpy as np
 import pytest
 
 from repro.client import ClientError
-from repro.fabric import NetworkStore, iter_inline, stream_fabric
-from repro.serve import ServeConfig, SuggestionService, SuggestServer
-from repro.serve.pipeline import FileSuggestions
-from repro.serve.worker import WorkerSpec
+from repro.fabric import NetworkStore, stream_fabric
+from repro.serve import (
+    ServeConfig,
+    ServeError,
+    SuggestionService,
+    SuggestServer,
+)
+from repro.serve.plan import plan_shards
 
 SOURCE_A = """
 double a[100], b[100]; double s;
@@ -38,6 +46,13 @@ BAD_SOURCE = "void broken(void) { for (i = 0; i < ; }"
 
 CORPUS = [("a.c", SOURCE_A), ("b.c", SOURCE_B), ("broken.c", BAD_SOURCE)]
 
+#: six distinct files, so each of two shards holds several
+WIDE_CORPUS = [
+    (f"f{i}.c", SOURCE_A.replace("100", str(100 + i)) if i % 2
+     else SOURCE_B.replace("50", str(50 + i)))
+    for i in range(6)
+]
+
 
 class _StubModel:
     """Picklable fingerprinted stub following the suggester contract."""
@@ -58,9 +73,115 @@ def _service() -> SuggestionService:
                              {"reduction": _StubModel(0, "red")})
 
 
-def _golden():
+def _golden(corpus=CORPUS):
     """The in-process results every fabric topology must reproduce."""
-    return _snap(_service().suggest_sources(CORPUS))
+    return _snap(_service().suggest_sources(corpus))
+
+
+class _RecordingService(SuggestionService):
+    """A peer's service that logs every ``(name, source)`` it is asked
+    to serve, before its own content dedupe."""
+
+    def __init__(self) -> None:
+        super().__init__(_StubModel(1), {"reduction": _StubModel(0, "red")})
+        self.seen: list[tuple[str, str]] = []
+
+    def stream_tagged(self, named_sources, **kwargs):
+        self.seen.extend(named_sources)
+        return super().stream_tagged(named_sources, **kwargs)
+
+    def iter_joint(self, workloads):
+        for _, named in workloads:
+            self.seen.extend(named)
+        return super().iter_joint(workloads)
+
+
+class _StallingService(_RecordingService):
+    """A peer's service that streams one file of a request, then goes
+    quiet until ``release`` is set."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.release = threading.Event()
+
+    def stream_tagged(self, named_sources, **kwargs):
+        results = super().stream_tagged(named_sources, **kwargs)
+        for n, item in enumerate(results):
+            if n == 1:
+                self.release.wait(60)
+            yield item
+
+
+class _CutProxy:
+    """TCP proxy in front of one peer that dies mid-stream.
+
+    Relays the first connection both ways until the peer's first
+    ``file`` frame has passed, then stops listening and shuts both
+    sockets — so the coordinator loses the peer after one result, and
+    every redial is refused.  ``passed`` names the files that got
+    through.
+    """
+
+    def __init__(self, upstream: str) -> None:
+        self._upstream = upstream
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = "127.0.0.1:%d" % self._listener.getsockname()[1]
+        self.passed: list[str] = []
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        try:
+            down, _ = self._listener.accept()
+        except OSError:
+            return
+        host, port = self._upstream.rsplit(":", 1)
+        up = socket.create_connection((host, int(port)))
+        pump = threading.Thread(target=self._pump, args=(down, up),
+                                daemon=True)
+        pump.start()
+        try:
+            with up.makefile("rb") as rfile:
+                while True:
+                    header = rfile.read(4)
+                    if len(header) < 4:
+                        break
+                    body = rfile.read(struct.unpack(">I", header)[0])
+                    down.sendall(header + body)
+                    frame = json.loads(body)
+                    if frame["kind"] == "file":
+                        self.passed.append(frame["name"])
+                        break
+        finally:
+            self._stop_listening()
+            for sock in (down, up):
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                sock.close()
+            pump.join()
+
+    @staticmethod
+    def _pump(src: socket.socket, dst: socket.socket) -> None:
+        try:
+            while data := src.recv(65536):
+                dst.sendall(data)
+        except OSError:
+            pass
+
+    def _stop_listening(self) -> None:
+        # shutdown, not just close: a forked process may hold a copy of
+        # the listening socket, and close alone would leave it accepting
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._listener.close()
+
+    def close(self) -> None:
+        self._stop_listening()
+        self._thread.join(timeout=10)
 
 
 def _snap(results):
@@ -99,19 +220,65 @@ class TestStreamFabric:
     def test_dead_peer_requeues_onto_survivor(self, fleet):
         """Losing a peer re-routes its shard, it never aborts the run.
 
-        The relay for the dead peer exits like a SIGKILLed worker, the
-        supervisor requeues, and sid rotation lands the respawn on the
-        survivor — so the result is still byte-identical.
+        The shard homed on the dead peer rotates past it at dial time
+        and lands on the survivor — so the result is still
+        byte-identical.
         """
         peers = [_dead_address(), fleet[0]]
         results = list(stream_fabric(peers, CORPUS, ordered=True,
                                      config=ServeConfig(max_retries=3)))
         assert _snap(results) == _golden()
 
+    def test_peer_cut_mid_stream_requeues_onto_survivor(self):
+        """A peer lost after its first streamed file: the result still
+        equals the golden, no file arrives twice, and the survivor
+        serves what the cut shard had left."""
+        cut = SuggestServer({"default": _service()}).start()
+        survivor_service = _RecordingService()
+        survivor = SuggestServer({"default": survivor_service}).start()
+        proxy = _CutProxy(cut.address)
+        try:
+            results = list(stream_fabric(
+                [proxy.address, survivor.address], WIDE_CORPUS,
+                ordered=False, config=ServeConfig(max_retries=3)))
+        finally:
+            proxy.close()
+            cut.shutdown()
+            survivor.shutdown()
+        names = [r.name for r in results]
+        assert len(names) == len(set(names)) == len(WIDE_CORPUS)
+        assert sorted(_snap(results)) == sorted(_golden(WIDE_CORPUS))
+        assert len(proxy.passed) == 1
+        # sid 0 is the cut peer's home slot; its other files moved over
+        cut_shard = {name for name, _ in plan_shards(WIDE_CORPUS, 2)[0].items}
+        served = {name for name, _ in survivor_service.seen}
+        assert cut_shard - set(proxy.passed) <= served
+        assert proxy.passed[0] not in served
+
     def test_all_peers_dead_is_an_error(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ServeError, match="no reachable peer"):
             list(stream_fabric([_dead_address()], CORPUS, ordered=True,
                                config=ServeConfig(max_retries=1)))
+
+    def test_mirrored_files_are_shipped_once(self):
+        """Copies of one content cross the wire once, in total over
+        the fleet, and come back under every copy's own name."""
+        services = [_RecordingService(), _RecordingService()]
+        servers = [SuggestServer({"default": service}).start()
+                   for service in services]
+        # LPT puts each original and its copy on different shards
+        mirrored = [("a.c", SOURCE_A), ("copy/a.c", SOURCE_A),
+                    ("b.c", SOURCE_B), ("copy/b.c", SOURCE_B)]
+        try:
+            results = list(stream_fabric(
+                [srv.address for srv in servers], mirrored, ordered=True))
+        finally:
+            for srv in servers:
+                srv.shutdown()
+        assert _snap(results) == _golden(mirrored)
+        shipped = sorted(source for service in services
+                         for _, source in service.seen)
+        assert shipped == sorted([SOURCE_A, SOURCE_B])
 
     def test_rewrite_mode_byte_identical(self, fleet):
         golden = [(r.name, r.to_payload())
@@ -129,17 +296,53 @@ class TestStreamFabric:
             stream_fabric(fleet, CORPUS, peer_bundles=("only-one",))
 
 
-class TestIterInline:
-    def test_matches_golden_without_processes(self, fleet):
-        spec = WorkerSpec(config=ServeConfig(), peers=(fleet[0],),
-                          peer_timeout_s=60.0)
-        got = sorted(iter_inline(spec, CORPUS,
-                                 FileSuggestions.from_payload),
-                     key=lambda pair: pair[0])
-        assert [(i, r.name, r.to_payload()) for i, r in got] == [
-            (i, name, payload)
-            for i, (name, payload) in enumerate(_golden())
-        ]
+class TestPeerThreads:
+    def test_no_process_is_started(self, fleet, monkeypatch):
+        """Peer shards are coordinator threads: a host that cannot
+        start a process still serves, byte-identically."""
+        def refuse(self):
+            raise OSError("no processes here")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        results = list(stream_fabric(fleet, CORPUS, ordered=True))
+        assert _snap(results) == _golden()
+
+    def test_silent_peer_outlasting_heartbeat_is_not_hung(self):
+        """Only the socket timeout bounds a quiet peer: silence past
+        ``heartbeat_s`` neither requeues nor re-sends a file."""
+        service = _StallingService()
+        server = SuggestServer({"default": service}).start()
+        timer = threading.Timer(1.0, service.release.set)
+        timer.start()
+        try:
+            results = list(stream_fabric(
+                [server.address], WIDE_CORPUS, ordered=True,
+                config=ServeConfig(heartbeat_s=0.2)))
+        finally:
+            timer.cancel()
+            service.release.set()
+            server.shutdown()
+        assert _snap(results) == _golden(WIDE_CORPUS)
+        assert sorted(service.seen) == sorted(WIDE_CORPUS)
+
+    def test_early_close_leaves_no_thread(self):
+        """Closing the stream mid-request wakes the shard thread out of
+        its blocked read on a peer that has gone quiet, and joins it."""
+        service = _StallingService()
+        server = SuggestServer({"default": service}).start()
+        try:
+            # one file never stalls; it starts the peer's compute thread
+            list(stream_fabric([server.address], CORPUS[:1]))
+            before = threading.active_count()
+            stream = stream_fabric([server.address], WIDE_CORPUS,
+                                   ordered=False)
+            next(stream)
+            stream.close()
+            assert threading.active_count() == before
+        finally:
+            service.release.set()
+            server.shutdown()
 
 
 class TestNetworkStoreEdges:
